@@ -53,6 +53,10 @@ class Fnv1a {
     add_u64(bits);
   }
   void add_time(SimTime t) { add_double(t.to_minutes()); }
+  void add_string(const std::string& s) {
+    for (char c : s) add_u64(static_cast<unsigned char>(c));
+    add_u64(s.size());
+  }
   [[nodiscard]] std::uint64_t digest() const { return hash_; }
 
  private:
@@ -233,6 +237,122 @@ TEST(GoldenResults, ShardedCurvesBitIdenticalAtTwoAndFourShards) {
         << sharded.name << " @2 shards: fixed-seed sharded results diverged";
     EXPECT_EQ(at4, sharded.expected_at_4)
         << sharded.name << " @4 shards: fixed-seed sharded results diverged";
+  }
+}
+
+// ---- Engine telemetry pins ---------------------------------------------
+//
+// hash_result never looks at ReplicationResult::metrics, so a refactor
+// that dropped a stream's draws from rng.draws, or dispatched one extra
+// mechanism hook, would still match every curve hash above. These pins
+// cover every deterministic counter, gauge and histogram of every
+// replication, serial and sharded. Series that read the wall clock
+// (prof.*, timing.*, shard.barrier_wait_ms) are skipped.
+//
+// To regenerate after an intentional behavior change:
+//   MVSIM_GOLDEN_PRINT=1 ./golden_test --gtest_filter='*EngineMetrics*'
+bool wall_clock_series(const std::string& name) {
+  return name.rfind("prof.", 0) == 0 || name.rfind("timing.", 0) == 0 ||
+         name == "shard.barrier_wait_ms";
+}
+
+std::uint64_t hash_metrics(const metrics::Snapshot& snapshot) {
+  Fnv1a h;
+  for (const metrics::CounterSample& c : snapshot.counters) {
+    if (wall_clock_series(c.name)) continue;
+    h.add_string(c.name);
+    h.add_u64(c.value);
+  }
+  for (const metrics::GaugeSample& g : snapshot.gauges) {
+    if (wall_clock_series(g.name)) continue;
+    h.add_string(g.name);
+    h.add_u64(g.value);
+    h.add_u64(g.peak);
+  }
+  for (const metrics::HistogramSample& hist : snapshot.histograms) {
+    if (wall_clock_series(hist.name)) continue;
+    h.add_string(hist.name);
+    for (std::uint64_t n : hist.bucket_counts) h.add_u64(n);
+    h.add_u64(hist.count);
+    h.add_double(hist.sum);
+    h.add_double(hist.min);
+    h.add_double(hist.max);
+  }
+  return h.digest();
+}
+
+std::string describe_metrics(const metrics::Snapshot& snapshot) {
+  std::ostringstream out;
+  for (const metrics::CounterSample& c : snapshot.counters) {
+    if (!wall_clock_series(c.name)) out << "  " << c.name << " = " << c.value << "\n";
+  }
+  for (const metrics::GaugeSample& g : snapshot.gauges) {
+    if (!wall_clock_series(g.name)) {
+      out << "  " << g.name << " = " << g.value << " (peak " << g.peak << ")\n";
+    }
+  }
+  for (const metrics::HistogramSample& hist : snapshot.histograms) {
+    if (!wall_clock_series(hist.name)) {
+      out << "  " << hist.name << " count " << hist.count << " sum " << hist.sum << "\n";
+    }
+  }
+  return out.str();
+}
+
+struct MetricsPinCase {
+  const char* name;
+  std::uint32_t shards;  ///< 1 = serial engine
+  std::uint64_t expected;
+};
+
+const MetricsPinCase kMetricsPins[] = {
+    {"fig1-baseline-virus3", 1, 0x1f64336c05bb9e96ULL},
+    {"defense-in-depth", 1, 0x332cb9ceb5e63dd7ULL},
+    {"dual-vector", 1, 0x518806e5eb39826bULL},
+    {"fig1-baseline-virus3", 2, 0x97153beb6407085eULL},
+    {"defense-in-depth", 2, 0xf28e10a0474f75c1ULL},
+};
+
+TEST(GoldenResults, EngineMetricsPinned) {
+  const bool print = std::getenv("MVSIM_GOLDEN_PRINT") != nullptr;
+  for (const MetricsPinCase& pin : kMetricsPins) {
+    const GoldenCase* golden = find_case(pin.name);
+    ASSERT_NE(golden, nullptr) << pin.name;
+    RunnerOptions options;
+    options.replications = kReplications;
+    options.master_seed = kMasterSeed;
+    options.keep_replications = true;
+    options.threads = 1;
+    options.shards = pin.shards;
+    options.shard_workers = 1;
+    ExperimentResult result = run_experiment(golden->make(), options);
+    ASSERT_EQ(result.replications.size(), static_cast<std::size_t>(kReplications));
+
+    Fnv1a h;
+    for (const ReplicationResult& r : result.replications) h.add_u64(hash_metrics(r.metrics));
+    if (print) {
+      std::printf("    {\"%s\", %u, 0x%016llxULL},\n", pin.name, pin.shards,
+                  static_cast<unsigned long long>(h.digest()));
+      continue;
+    }
+    const metrics::Snapshot& first = result.replications.front().metrics;
+    EXPECT_EQ(h.digest(), pin.expected)
+        << pin.name << " @" << pin.shards << " shard(s): engine telemetry diverged; "
+        << "replication 0 now reports\n"
+        << describe_metrics(first);
+    // The pin is only as strong as the series it covers.
+    EXPECT_GT(first.counter_value("rng.draws"), 0u) << pin.name;
+    EXPECT_GT(first.counter_value("des.events_executed"), 0u) << pin.name;
+    EXPECT_NE(first.find_gauge("des.queue_depth_peak"), nullptr) << pin.name;
+    if (std::string(pin.name) == "defense-in-depth") {
+      EXPECT_GT(first.counter_value("core.dispatch.hook_calls"), 0u) << pin.name;
+    }
+    if (std::string(pin.name) == "dual-vector") {
+      EXPECT_GT(first.counter_value("core.bluetooth_push_attempts"), 0u) << pin.name;
+    }
+    if (pin.shards > 1) {
+      EXPECT_NE(first.find_histogram("shard.events_executed"), nullptr) << pin.name;
+    }
   }
 }
 
