@@ -5,8 +5,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
-#include <stdexcept>
 #include <utility>
 
 #include "core/runner.h"
@@ -29,6 +29,26 @@ int int_from_env(const char* name, int fallback, long lo, long hi) {
   long value = std::strtol(raw, &end, 10);
   if (end == raw || *end != '\0') return fallback;
   return static_cast<int>(std::clamp(value, lo, hi));
+}
+
+/// Where BENCH_<name>.json lands: MVSIM_BENCH_DIR when set, else the
+/// working directory.
+std::string report_path(const std::string& name) {
+  const char* dir = std::getenv("MVSIM_BENCH_DIR");
+  std::string path;
+  if (dir != nullptr && *dir != '\0') {
+    path = dir;
+    if (path.back() != '/') path += '/';
+  }
+  path += "BENCH_";
+  path += name;
+  path += ".json";
+  return path;
+}
+
+[[noreturn]] void fail_unwritable(const std::string& path, const char* why) {
+  std::fprintf(stderr, "[bench] cannot write '%s'%s\n", path.c_str(), why);
+  std::exit(2);
 }
 
 json::Object summarize(const std::vector<double>& values) {
@@ -56,6 +76,13 @@ Harness::Harness(std::string name, HarnessOptions defaults)
     : name_(std::move(name)), options_(defaults) {
   options_.warmup = int_from_env("MVSIM_BENCH_WARMUP", options_.warmup, 0L, 100L);
   options_.repeat = int_from_env("MVSIM_BENCH_REPEAT", options_.repeat, 1L, 1000L);
+  // Fail before any case runs, not after minutes of measurement.
+  const std::string path = report_path(name_);
+  const std::filesystem::path dir = std::filesystem::path(path).parent_path();
+  std::error_code ec;
+  if (!dir.empty() && !std::filesystem::is_directory(dir, ec)) {
+    fail_unwritable(path, " (MVSIM_BENCH_DIR is not a directory)");
+  }
 }
 
 void Harness::run_case(const std::string& label, const std::function<std::uint64_t()>& fn) {
@@ -132,17 +159,11 @@ std::string Harness::to_json() const {
 }
 
 std::string Harness::write_report() const {
-  const char* dir = std::getenv("MVSIM_BENCH_DIR");
-  std::string path;
-  if (dir != nullptr && *dir != '\0') {
-    path = std::string(dir);
-    if (path.back() != '/') path += '/';
-  }
-  path += "BENCH_" + name_ + ".json";
+  const std::string path = report_path(name_);
   std::ofstream file(path);
   file << to_json();
   file.flush();
-  if (!file) throw std::runtime_error("harness: cannot write '" + path + "'");
+  if (!file) fail_unwritable(path, "");
   std::fprintf(stderr, "[bench] wrote %s (%zu case(s))\n", path.c_str(), cases_.size());
   return path;
 }

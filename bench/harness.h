@@ -44,7 +44,8 @@ class Harness {
  public:
   /// `name` names the report file (BENCH_<name>.json); `defaults` are
   /// the binary's warmup/repeat, overridable via MVSIM_BENCH_WARMUP /
-  /// MVSIM_BENCH_REPEAT.
+  /// MVSIM_BENCH_REPEAT. Exits with status 2 when MVSIM_BENCH_DIR names
+  /// no directory.
   explicit Harness(std::string name, HarnessOptions defaults = {});
 
   /// Runs `fn` warmup+repeat times and records the measured runs.
@@ -68,8 +69,10 @@ class Harness {
   [[nodiscard]] std::string to_json() const;
 
   /// Writes BENCH_<name>.json into MVSIM_BENCH_DIR (default: the
-  /// working directory) and returns the path written. Throws
-  /// std::runtime_error when the file cannot be written.
+  /// working directory) and returns the path written. When the file
+  /// cannot be written it prints the path and exits with status 2; the
+  /// constructor already exits the same way when MVSIM_BENCH_DIR is not
+  /// a directory, so no measurement is wasted on a bad path.
   std::string write_report() const;
 
  private:

@@ -3,15 +3,19 @@
 #include <algorithm>
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 #include <string_view>
+#include <utility>
 
 #include "analysis/diminishing_returns.h"
 #include "analysis/param_registry.h"
@@ -31,6 +35,7 @@
 #include "trace/analysis.h"
 #include "trace/export.h"
 #include "trace/trace.h"
+#include "util/duration.h"
 #include "util/json.h"
 
 namespace mvsim::cli {
@@ -64,9 +69,9 @@ usage:
                            engine; N >= 2 changes results — see docs/parallelism.md;
                            composes with --trace, --profile and --stats-stream;
                            proximity scenarios are rejected)
-      --shard-window MIN   synchronization window in simulated minutes (default:
-                           the scenario's delivery_delay_mean; model-relevant,
-                           like --shards)
+      --shard-window DUR   synchronization window as a duration ("30min", "0.5h";
+                           a bare number means minutes; default: the scenario's
+                           delivery_delay_mean; model-relevant, like --shards)
       --shard-workers N    threads per sharded replication (default 0 = one per
                            shard; results identical for any value)
       --progress           live progress on stderr (replications done, events/sec,
@@ -75,7 +80,8 @@ usage:
                            stdout): infected/patched/blocked counts, events/sec,
                            queue depths, per-shard barrier waits; observation-only
                            (schema in docs/observability.md)
-      --stats-period MIN   simulated minutes between stats samples (default 30;
+      --stats-period DUR   simulated time between stats samples ("6h"; a bare
+                           number means minutes; default 30min;
                            sharded runs sample at the first window barrier at or
                            past each mark)
       --manifest PATH      write the run manifest as JSON ('-' = stdout): scenario
@@ -148,6 +154,45 @@ bool parse_u64(const std::string& text, std::uint64_t& out) {
   return ec == std::errc() && ptr == text.data() + text.size();
 }
 
+constexpr std::uint64_t kAnyU64 = std::numeric_limits<std::uint64_t>::max();
+
+/// The value following the flag args[i], advancing `i` onto it; null,
+/// after reporting, when the flag is the last argument.
+const std::string* flag_value(const std::vector<std::string>& args, std::size_t& i,
+                              std::ostream& err) {
+  if (i + 1 < args.size()) return &args[++i];
+  err << args[i] << ": missing value\n";
+  return nullptr;
+}
+
+/// Flag `flag`'s value `v` as an integer in [lo, hi]; nullopt otherwise,
+/// after reporting a bad value (a null `v` — a missing value — is
+/// already reported by the caller).
+std::optional<std::uint64_t> count_value(std::string_view flag, const std::string* v,
+                                         std::uint64_t lo, std::uint64_t hi,
+                                         const char* expected, std::ostream& err) {
+  if (v == nullptr) return std::nullopt;
+  std::uint64_t n = 0;
+  if (parse_u64(*v, n) && n >= lo && n <= hi) return n;
+  err << flag << ": expected " << expected << ", got '" << *v << "'\n";
+  return std::nullopt;
+}
+
+/// A positive simulated duration in scenario-JSON units ("30min",
+/// "0.5h", "90s", ...), stored as minutes; a bare number means minutes.
+bool parse_minutes(const std::string& text, double& minutes) {
+  char* end = nullptr;
+  minutes = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size()) {
+    try {
+      minutes = util::parse_duration(text).to_minutes();
+    } catch (const std::invalid_argument&) {
+      return false;
+    }
+  }
+  return std::isfinite(minutes) && minutes > 0.0;
+}
+
 bool looks_like_file(const std::string& target) {
   return target.find('.') != std::string::npos || target.find('/') != std::string::npos;
 }
@@ -158,82 +203,49 @@ int parse_run_options(const std::vector<std::string>& args, RunOptions& options,
     err << "run: missing scenario file or preset name\n";
     return 1;
   }
+  // Output paths, stored verbatim ('-' = stdout where supported).
+  const std::pair<std::string_view, std::string RunOptions::*> kPathFlags[] = {
+      {"--curve-csv", &RunOptions::curve_csv},
+      {"--summary-json", &RunOptions::summary_json},
+      {"--metrics", &RunOptions::metrics_path},
+      {"--trace", &RunOptions::trace_path},
+      {"--profile", &RunOptions::profile_path},
+      {"--stats-stream", &RunOptions::stats_stream_path},
+      {"--manifest", &RunOptions::manifest_path},
+      {"--ledger", &RunOptions::ledger_path}};
   options.target = args[0];
   for (std::size_t i = 1; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    auto next = [&](const char* flag) -> const std::string* {
-      if (i + 1 >= args.size()) {
-        err << flag << ": missing value\n";
-        return nullptr;
-      }
-      return &args[++i];
-    };
-    if (arg == "--reps") {
-      const std::string* v = next("--reps");
+    auto path_flag = std::find_if(std::begin(kPathFlags), std::end(kPathFlags),
+                                  [&arg](const auto& flag) { return flag.first == arg; });
+    if (path_flag != std::end(kPathFlags)) {
+      const std::string* v = flag_value(args, i, err);
       if (v == nullptr) return 1;
-      std::uint64_t reps = 0;
-      if (!parse_u64(*v, reps) || reps == 0 || reps > 100000) {
-        err << "--reps: expected a positive integer, got '" << *v << "'\n";
-        return 1;
-      }
-      options.replications = static_cast<int>(reps);
+      options.*(path_flag->second) = *v;
+    } else if (arg == "--reps") {
+      auto n = count_value(arg, flag_value(args, i, err), 1, 100000, "a positive integer", err);
+      if (!n) return 1;
+      options.replications = static_cast<int>(*n);
     } else if (arg == "--seed") {
-      const std::string* v = next("--seed");
-      if (v == nullptr) return 1;
-      if (!parse_u64(*v, options.seed)) {
-        err << "--seed: expected an integer, got '" << *v << "'\n";
-        return 1;
-      }
+      auto n = count_value(arg, flag_value(args, i, err), 0, kAnyU64, "an integer", err);
+      if (!n) return 1;
+      options.seed = *n;
     } else if (arg == "--threads") {
-      const std::string* v = next("--threads");
-      if (v == nullptr) return 1;
-      std::uint64_t threads = 0;
-      if (!parse_u64(*v, threads) || threads > 1024) {
-        err << "--threads: expected an integer in [0, 1024], got '" << *v << "'\n";
-        return 1;
-      }
-      options.threads = static_cast<int>(threads);
-    } else if (arg == "--curve-csv") {
-      const std::string* v = next("--curve-csv");
-      if (v == nullptr) return 1;
-      options.curve_csv = *v;
-    } else if (arg == "--summary-json") {
-      const std::string* v = next("--summary-json");
-      if (v == nullptr) return 1;
-      options.summary_json = *v;
-    } else if (arg == "--metrics") {
-      const std::string* v = next("--metrics");
-      if (v == nullptr) return 1;
-      options.metrics_path = *v;
-    } else if (arg == "--trace") {
-      const std::string* v = next("--trace");
-      if (v == nullptr) return 1;
-      options.trace_path = *v;
+      auto n = count_value(arg, flag_value(args, i, err), 0, 1024, "an integer in [0, 1024]", err);
+      if (!n) return 1;
+      options.threads = static_cast<int>(*n);
     } else if (arg == "--trace-rep") {
-      const std::string* v = next("--trace-rep");
-      if (v == nullptr) return 1;
-      std::uint64_t rep = 0;
-      if (!parse_u64(*v, rep) || rep > 100000) {
-        err << "--trace-rep: expected a replication index, got '" << *v << "'\n";
-        return 1;
-      }
-      options.trace_replication = static_cast<int>(rep);
+      auto n = count_value(arg, flag_value(args, i, err), 0, 100000, "a replication index", err);
+      if (!n) return 1;
+      options.trace_replication = static_cast<int>(*n);
     } else if (arg == "--trace-cap") {
-      const std::string* v = next("--trace-cap");
-      if (v == nullptr) return 1;
-      std::uint64_t cap = 0;
-      if (!parse_u64(*v, cap)) {
-        err << "--trace-cap: expected an event count (0 = unbounded), got '" << *v << "'\n";
-        return 1;
-      }
+      auto n = count_value(arg, flag_value(args, i, err), 0, kAnyU64,
+                           "an event count (0 = unbounded)", err);
+      if (!n) return 1;
       options.trace_capacity =
-          cap == 0 ? std::numeric_limits<std::size_t>::max() : static_cast<std::size_t>(cap);
-    } else if (arg == "--profile") {
-      const std::string* v = next("--profile");
-      if (v == nullptr) return 1;
-      options.profile_path = *v;
+          *n == 0 ? std::numeric_limits<std::size_t>::max() : static_cast<std::size_t>(*n);
     } else if (arg == "--des-impl") {
-      const std::string* v = next("--des-impl");
+      const std::string* v = flag_value(args, i, err);
       if (v == nullptr) return 1;
       if (*v == "wheel") {
         options.des_impl = des::QueueImpl::kWheel;
@@ -244,59 +256,31 @@ int parse_run_options(const std::vector<std::string>& args, RunOptions& options,
         return 1;
       }
     } else if (arg == "--shards") {
-      const std::string* v = next("--shards");
-      if (v == nullptr) return 1;
-      std::uint64_t shards = 0;
-      if (!parse_u64(*v, shards) || shards == 0 || shards > 4096) {
-        err << "--shards: expected an integer in [1, 4096], got '" << *v << "'\n";
-        return 1;
-      }
-      options.shards = static_cast<std::uint32_t>(shards);
+      auto n = count_value(arg, flag_value(args, i, err), 1, 4096, "an integer in [1, 4096]", err);
+      if (!n) return 1;
+      options.shards = static_cast<std::uint32_t>(*n);
     } else if (arg == "--shard-window") {
-      const std::string* v = next("--shard-window");
+      const std::string* v = flag_value(args, i, err);
       if (v == nullptr) return 1;
-      char* end = nullptr;
-      double minutes = std::strtod(v->c_str(), &end);
-      if (end != v->c_str() + v->size() || v->empty() || !(minutes > 0.0)) {
-        err << "--shard-window: expected a positive number of simulated minutes, got '" << *v
-            << "'\n";
+      if (!parse_minutes(*v, options.shard_window_minutes)) {
+        err << "--shard-window: expected a positive duration (\"30min\", \"0.5h\"; a bare "
+            << "number means minutes), got '" << *v << "'\n";
         return 1;
       }
-      options.shard_window_minutes = minutes;
     } else if (arg == "--shard-workers") {
-      const std::string* v = next("--shard-workers");
-      if (v == nullptr) return 1;
-      std::uint64_t workers = 0;
-      if (!parse_u64(*v, workers) || workers > 1024) {
-        err << "--shard-workers: expected an integer in [0, 1024], got '" << *v << "'\n";
-        return 1;
-      }
-      options.shard_workers = static_cast<int>(workers);
+      auto n = count_value(arg, flag_value(args, i, err), 0, 1024, "an integer in [0, 1024]", err);
+      if (!n) return 1;
+      options.shard_workers = static_cast<int>(*n);
     } else if (arg == "--progress") {
       options.progress = true;
-    } else if (arg == "--stats-stream") {
-      const std::string* v = next("--stats-stream");
-      if (v == nullptr) return 1;
-      options.stats_stream_path = *v;
     } else if (arg == "--stats-period") {
-      const std::string* v = next("--stats-period");
+      const std::string* v = flag_value(args, i, err);
       if (v == nullptr) return 1;
-      char* end = nullptr;
-      double minutes = std::strtod(v->c_str(), &end);
-      if (end != v->c_str() + v->size() || v->empty() || !(minutes > 0.0)) {
-        err << "--stats-period: expected a positive number of simulated minutes, got '" << *v
-            << "'\n";
+      if (!parse_minutes(*v, options.stats_period_minutes)) {
+        err << "--stats-period: expected a positive duration (\"30min\", \"6h\"; a bare "
+            << "number means minutes), got '" << *v << "'\n";
         return 1;
       }
-      options.stats_period_minutes = minutes;
-    } else if (arg == "--manifest") {
-      const std::string* v = next("--manifest");
-      if (v == nullptr) return 1;
-      options.manifest_path = *v;
-    } else if (arg == "--ledger") {
-      const std::string* v = next("--ledger");
-      if (v == nullptr) return 1;
-      options.ledger_path = *v;
     } else if (arg == "--quiet") {
       options.quiet = true;
     } else {
@@ -613,17 +597,9 @@ int command_profile_analyze(const std::vector<std::string>& args, std::ostream& 
   int top_n = 0;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--top") {
-      if (i + 1 >= args.size()) {
-        err << "--top: missing value\n";
-        return 1;
-      }
-      std::uint64_t value = 0;
-      if (!parse_u64(args[i + 1], value) || value == 0 || value > 1000) {
-        err << "--top: expected a positive integer, got '" << args[i + 1] << "'\n";
-        return 1;
-      }
-      top_n = static_cast<int>(value);
-      ++i;
+      auto n = count_value("--top", flag_value(args, i, err), 1, 1000, "a positive integer", err);
+      if (!n) return 1;
+      top_n = static_cast<int>(*n);
     } else if (path.empty()) {
       path = args[i];
     } else {
@@ -651,25 +627,16 @@ int command_compare(const std::vector<std::string>& args, std::ostream& out,
   std::uint64_t seed = 0xDEADBEEFULL;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--reps" || args[i] == "--seed") {
-      if (i + 1 >= args.size()) {
-        err << args[i] << ": missing value\n";
-        return 1;
-      }
-      std::uint64_t value = 0;
-      if (!parse_u64(args[i + 1], value)) {
-        err << args[i] << ": expected an integer, got '" << args[i + 1] << "'\n";
-        return 1;
-      }
-      if (args[i] == "--reps") {
-        if (value == 0) {
-          err << "--reps: must be positive\n";
-          return 1;
-        }
-        replications = static_cast<int>(value);
+      const std::string& flag = args[i];
+      const bool reps = flag == "--reps";
+      auto n = count_value(flag, flag_value(args, i, err), reps ? 1 : 0, reps ? 100000 : kAnyU64,
+                           reps ? "a positive integer" : "an integer", err);
+      if (!n) return 1;
+      if (reps) {
+        replications = static_cast<int>(*n);
       } else {
-        seed = value;
+        seed = *n;
       }
-      ++i;
     } else {
       targets.push_back(args[i]);
     }
@@ -824,19 +791,12 @@ int command_sweep(const std::vector<std::string>& args, std::ostream& out, std::
   bool progress = false;
   for (std::size_t i = 1; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    auto next = [&](const char* flag) -> const std::string* {
-      if (i + 1 >= args.size()) {
-        err << flag << ": missing value\n";
-        return nullptr;
-      }
-      return &args[++i];
-    };
     if (arg == "--param") {
-      const std::string* v = next("--param");
+      const std::string* v = flag_value(args, i, err);
       if (v == nullptr) return 1;
       param_name = *v;
     } else if (arg == "--values") {
-      const std::string* v = next("--values");
+      const std::string* v = flag_value(args, i, err);
       if (v == nullptr) return 1;
       std::string token;
       std::istringstream list(*v);
@@ -849,40 +809,27 @@ int command_sweep(const std::vector<std::string>& args, std::ostream& out, std::
         values.push_back(value);
       }
     } else if (arg == "--reps") {
-      const std::string* v = next("--reps");
-      if (v == nullptr) return 1;
-      std::uint64_t reps = 0;
-      if (!parse_u64(*v, reps) || reps == 0 || reps > 100000) {
-        err << "--reps: expected a positive integer, got '" << *v << "'\n";
-        return 1;
-      }
-      replications = static_cast<int>(reps);
+      auto n = count_value(arg, flag_value(args, i, err), 1, 100000, "a positive integer", err);
+      if (!n) return 1;
+      replications = static_cast<int>(*n);
     } else if (arg == "--seed") {
-      const std::string* v = next("--seed");
-      if (v == nullptr) return 1;
-      if (!parse_u64(*v, seed)) {
-        err << "--seed: expected an integer, got '" << *v << "'\n";
-        return 1;
-      }
+      auto n = count_value(arg, flag_value(args, i, err), 0, kAnyU64, "an integer", err);
+      if (!n) return 1;
+      seed = *n;
     } else if (arg == "--threads") {
-      const std::string* v = next("--threads");
-      if (v == nullptr) return 1;
-      std::uint64_t count = 0;
-      if (!parse_u64(*v, count) || count > 1024) {
-        err << "--threads: expected an integer in [0, 1024], got '" << *v << "'\n";
-        return 1;
-      }
-      threads = static_cast<int>(count);
+      auto n = count_value(arg, flag_value(args, i, err), 0, 1024, "an integer in [0, 1024]", err);
+      if (!n) return 1;
+      threads = static_cast<int>(*n);
     } else if (arg == "--ledger") {
-      const std::string* v = next("--ledger");
+      const std::string* v = flag_value(args, i, err);
       if (v == nullptr) return 1;
       ledger_path = *v;
     } else if (arg == "--stream") {
-      const std::string* v = next("--stream");
+      const std::string* v = flag_value(args, i, err);
       if (v == nullptr) return 1;
       stream_path = *v;
     } else if (arg == "--knee-fraction") {
-      const std::string* v = next("--knee-fraction");
+      const std::string* v = flag_value(args, i, err);
       if (v == nullptr) return 1;
       if (!parse_double(*v, knee_fraction) || !(knee_fraction > 0.0) || knee_fraction >= 1.0) {
         err << "--knee-fraction: expected a fraction in (0, 1), got '" << *v << "'\n";
@@ -1167,12 +1114,10 @@ int command_report(const std::vector<std::string>& args, std::ostream& out, std:
     double threshold = 0.05;
     for (std::size_t i = 1; i < args.size(); ++i) {
       if (args[i] == "--threshold") {
-        if (i + 1 >= args.size()) {
-          err << "--threshold: missing value\n";
-          return 1;
-        }
-        if (!parse_double(args[++i], threshold) || !(threshold > 0.0)) {
-          err << "--threshold: expected a positive fraction, got '" << args[i] << "'\n";
+        const std::string* v = flag_value(args, i, err);
+        if (v == nullptr) return 1;
+        if (!parse_double(*v, threshold) || !(threshold > 0.0)) {
+          err << "--threshold: expected a positive fraction, got '" << *v << "'\n";
           return 1;
         }
       } else {
@@ -1200,13 +1145,10 @@ int command_report(const std::vector<std::string>& args, std::ostream& out, std:
     double knee_fraction = 0.2;
     for (std::size_t i = 1; i < args.size(); ++i) {
       if (args[i] == "--knee-fraction") {
-        if (i + 1 >= args.size()) {
-          err << "--knee-fraction: missing value\n";
-          return 1;
-        }
-        if (!parse_double(args[++i], knee_fraction) || !(knee_fraction > 0.0) ||
-            knee_fraction >= 1.0) {
-          err << "--knee-fraction: expected a fraction in (0, 1), got '" << args[i] << "'\n";
+        const std::string* v = flag_value(args, i, err);
+        if (v == nullptr) return 1;
+        if (!parse_double(*v, knee_fraction) || !(knee_fraction > 0.0) || knee_fraction >= 1.0) {
+          err << "--knee-fraction: expected a fraction in (0, 1), got '" << *v << "'\n";
           return 1;
         }
       } else if (path.empty()) {

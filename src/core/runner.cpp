@@ -124,7 +124,7 @@ void run_worker(const ScenarioConfig& config, const RunnerOptions& options, int 
       sharding.worker_threads = options.shard_workers;
       // Same single-replication trace contract as the serial path; the
       // engine fans the buffer out into per-shard slices and merges
-      // them back at collect().
+      // them back at the end of run().
       sharding.trace = rep == options.trace_replication ? options.trace : nullptr;
       sharding.profile = options.profile;
       // The engine profiles per-shard event costs; this profiler adds

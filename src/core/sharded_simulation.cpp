@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <barrier>
 #include <chrono>
-#include <cmath>
 #include <exception>
+#include <functional>
 #include <stdexcept>
 #include <thread>
 
@@ -12,17 +12,10 @@
 #include "prof/profiler.h"
 #include "response/registry.h"
 #include "rng/seed.h"
-#include "trace/recorder.h"
 
 namespace mvsim::core {
 
 namespace {
-
-/// Tag offset for per-shard seed derivation: shard s's streams hang off
-/// derive_seed(replication_seed, kShardSeedTag + s, StreamIndex). The
-/// offset keeps shard seeds far from the replication-level StreamIndex
-/// values derived directly under the same replication seed.
-constexpr std::uint64_t kShardSeedTag = 0x5aa4'd000'0000'0000ULL;
 
 constexpr double kEventCountBounds[] = {1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8};
 constexpr double kBarrierWaitBounds[] = {0.01, 0.1, 1.0, 10.0, 100.0, 1000.0};
@@ -34,246 +27,11 @@ double ms_between(std::chrono::steady_clock::time_point a,
 
 }  // namespace
 
-namespace detail {
-
-/// Everything one shard owns: scheduler, streams, gateway, response
-/// layer, and the per-shard slices of the population bookkeeping. The
-/// runtime is also the shard's ShardRouter (gateway recipients owned
-/// elsewhere go to the mailbox grid) and its InfectionListener (the
-/// PhoneTable notifies the owner shard, never a global object).
-struct ShardRuntime final : public net::ShardRouter, public phone::InfectionListener {
-  ShardRuntime(ShardedSimulation& owner_ref, std::uint32_t shard_index,
-               graph::Partition::Range shard_range, std::uint64_t replication_seed,
-               des::QueueImpl des_impl)
-      : owner(&owner_ref),
-        index(shard_index),
-        range(shard_range),
-        scheduler(des_impl),
-        user_stream(rng::derive_seed(replication_seed, kShardSeedTag + shard_index, kUserStream)),
-        virus_stream(
-            rng::derive_seed(replication_seed, kShardSeedTag + shard_index, kVirusStream)),
-        net_stream(rng::derive_seed(replication_seed, kShardSeedTag + shard_index, kNetStream)),
-        response_stream(
-            rng::derive_seed(replication_seed, kShardSeedTag + shard_index, kResponseStream)) {}
-
-  // net::ShardRouter
-  [[nodiscard]] SimTime remote_extra_latency() const override { return owner->window_; }
-  bool route_remote(net::PhoneId recipient, const net::MmsMessage& message,
-                    SimTime deliver_at) override {
-    const std::uint32_t dst = owner->partition_->shard_of(recipient);
-    if (dst == index) return false;
-    owner->mailbox_.push(index, dst,
-                         {deliver_at, recipient, message.sender, message.sequence,
-                          message.infected});
-    return true;
-  }
-
-  /// The shard whose gateway assigned `message`'s sequence number,
-  /// offset into the trace-only id namespace (see kShardMessageStride);
-  /// sentinel ids pass through untouched.
-  [[nodiscard]] std::uint64_t trace_message_id(graph::PhoneId sender,
-                                               std::uint64_t message) const {
-    if (message == net::kInvalidMessageId) return message;
-    return message + owner->partition_->shard_of(sender) * trace::kShardMessageStride;
-  }
-
-  // phone::InfectionListener — mirrors Simulation::on_phone_infected
-  // minus the proximity branch the sharded engine rejects.
-  void on_phone_infected(phone::PhoneId id, const phone::InfectionSource& source) override {
-    ++infected_count;
-    infection_times.push_back(scheduler.now());
-    if (trace_buffer) {
-      trace::Event event;
-      event.time = scheduler.now();
-      event.kind = trace::EventKind::kInfection;
-      event.phone = id;
-      event.peer = source.sender;
-      // The carrier message was sequenced by its sender's shard.
-      event.message = source.sender != graph::kInvalidPhoneId
-                          ? trace_message_id(source.sender, source.message)
-                          : source.message;
-      event.detail = phone::to_string(source.channel);
-      trace_buffer->record(std::move(event));
-    }
-    context->notify_infection(id, scheduler.now());
-
-    const ScenarioConfig& config = owner->config_;
-    std::unique_ptr<virus::Targeter> targeter;
-    if (config.virus.targeting == virus::TargetingMode::kContactList) {
-      targeter = std::make_unique<virus::ContactListTargeter>(owner->graph_->contacts(id),
-                                                              virus_stream);
-    } else {
-      targeter = std::make_unique<virus::RandomDialTargeter>(
-          id, config.population, config.virus.valid_number_fraction, virus_stream);
-    }
-    owner->processes_[id] = std::make_unique<virus::SendingProcess>(
-        sending_env, config.virus, *owner->phones_, id, std::move(targeter));
-    owner->processes_[id]->start();
-  }
-
-  void on_patch_applied(graph::PhoneId id) {
-    bool was_infected = owner->phones_->infected(id);
-    bool was_patched = owner->phones_->patched(id);
-    owner->phones_->apply_patch(id);
-    if (was_patched) return;
-    if (trace_buffer) {
-      trace::Event event;
-      event.time = scheduler.now();
-      event.kind = trace::EventKind::kPatchApplied;
-      event.phone = id;
-      trace_buffer->record(std::move(event));
-    }
-    context->notify_patch(id, scheduler.now());
-    if (was_infected) {
-      ++patched_infected;
-      if (owner->processes_[id]) owner->processes_[id]->stop();
-    } else if (owner->phones_->state(id) == phone::HealthState::kImmunized) {
-      ++immunized_healthy;
-    }
-  }
-
-  /// Schedules everything the coordinator staged at the last barrier:
-  /// first the drained cross-shard deliveries (in drain order), then
-  /// the detectability crossing — the same per-scheduler call order a
-  /// coordinator-side schedule would produce, so results are
-  /// bit-identical either way. Running it on the owning worker means
-  /// the per-entry scheduling cost parallelizes across shards instead
-  /// of serializing on the coordinator between barriers.
-  void flush_staged() {
-    for (const net::CrossShardDelivery& d : staged) {
-      scheduler.schedule_at(d.at, des::EventType::kMessageDelivery, [this, d] {
-        owner->phones_->receive_infected_message(
-            d.recipient, {d.sender, d.sequence, phone::InfectionChannel::kMms});
-        // Mirror the serial gateway's per-recipient on_delivered
-        // dispatch so core.dispatch.* telemetry and any
-        // delivery-subscribed mechanism see the same traffic.
-        net::MmsMessage msg;
-        msg.sender = d.sender;
-        msg.sequence = d.sequence;
-        msg.infected = d.infected;
-        msg.recipients.push_back({d.recipient, true});
-        context->on_delivered(d.recipient, msg, scheduler.now());
-        // Cross-shard deliveries bypass this gateway (they arrive via
-        // the mailbox), so the GatewayRecorder never sees them; record
-        // the delivery here, under the ORIGIN shard's message id, so
-        // the merged trace links the hop end-to-end.
-        if (trace_buffer) {
-          trace::Event event;
-          event.time = scheduler.now();
-          event.kind = trace::EventKind::kMessageDelivered;
-          event.phone = d.recipient;
-          event.peer = d.sender;
-          event.message = trace_message_id(d.sender, d.sequence);
-          trace_buffer->record(std::move(event));
-        }
-      });
-    }
-    staged.clear();
-    if (has_pending_detect) {
-      has_pending_detect = false;
-      const SimTime at = pending_detect_at;
-      scheduler.schedule_at(at, des::EventType::kResponseActivation,
-                            [this, at] { context->detector().force_detect(at); });
-    }
-  }
-
-  /// One lockstep window: flush what the coordinator staged, then run
-  /// to the window end. Under --profile the window's wall-clock lands
-  /// in prof.shard.window_us (its spread is the imbalance the barrier
-  /// stalls on).
-  void run_to(SimTime until) {
-    flush_staged();
-    if (profiler) {
-      const auto begin = std::chrono::steady_clock::now();
-      scheduler.run_until(until);
-      window_finished = std::chrono::steady_clock::now();
-      profiler->record_shard_window(
-          std::chrono::duration<double, std::micro>(window_finished - begin).count());
-    } else {
-      scheduler.run_until(until);
-      // The finish stamp feeds the stats stream's per-shard barrier
-      // waits; skip the clock read when nobody consumes it.
-      if (owner->stats_observer_) window_finished = std::chrono::steady_clock::now();
-    }
-  }
-
-  /// Mirrors Simulation::collect_metrics for this shard's slice.
-  [[nodiscard]] metrics::Snapshot collect_metrics() const {
-    metrics::Registry reg;
-    reg.counter("des.events_scheduled").add(scheduler.scheduled_count());
-    reg.counter("des.events_executed").add(scheduler.executed_count());
-    reg.counter("des.events_cancelled").add(scheduler.cancelled_count());
-    reg.gauge("des.queue_depth_peak").set(scheduler.peak_pending_count());
-    reg.counter("des.scheduler.cancelled_reclaimed").add(scheduler.cancelled_reclaimed_count());
-
-    const net::GatewayCounters& gc = gateway->counters();
-    reg.counter("net.messages_submitted").add(gc.messages_submitted);
-    reg.counter("net.infected_messages_submitted").add(gc.infected_messages_submitted);
-    reg.counter("net.messages_blocked").add(gc.messages_blocked);
-    reg.counter("net.recipients_delivered").add(gc.recipients_delivered);
-    reg.counter("net.invalid_recipients_dropped").add(gc.invalid_recipients_dropped);
-
-    reg.counter("core.infections").add(infected_count);
-    reg.counter("core.phones_immunized_healthy").add(immunized_healthy);
-    reg.counter("core.phones_patched_infected").add(patched_infected);
-    reg.counter("core.bluetooth_push_attempts").add(0);
-
-    reg.counter("rng.draws").add(user_stream.draw_count() + virus_stream.draw_count() +
-                                 net_stream.draw_count() + response_stream.draw_count());
-
-    context->collect_metrics(reg);
-    return reg.snapshot();
-  }
-
-  ShardedSimulation* owner;
-  std::uint32_t index;
-  graph::Partition::Range range;
-  des::Scheduler scheduler;
-  rng::Stream user_stream;
-  rng::Stream virus_stream;
-  rng::Stream net_stream;
-  rng::Stream response_stream;
-
-  std::unique_ptr<net::Gateway> gateway;
-  phone::PhoneEnvironment env;
-  virus::SendingEnvironment sending_env;
-  std::unique_ptr<SimulationContext> context;
-  std::vector<graph::PhoneId> patch_targets;  ///< owned susceptibles
-
-  // Observability taps, built only when the run asked for them.
-  std::unique_ptr<trace::TraceBuffer> owned_trace;  ///< this shard's slice
-  trace::TraceBuffer* trace_buffer = nullptr;       ///< = owned_trace.get()
-  std::unique_ptr<trace::GatewayRecorder> recorder;
-  std::unique_ptr<prof::Profiler> profiler;
-
-  std::vector<SimTime> infection_times;  ///< nondecreasing by construction
-  std::uint64_t infected_count = 0;
-  std::uint64_t patched_infected = 0;
-  std::uint64_t immunized_healthy = 0;
-
-  // Staged by the coordinator between barriers, consumed by the owning
-  // worker at the next window start (flush_staged). The window barriers
-  // order these accesses, so no synchronization is needed.
-  std::vector<net::CrossShardDelivery> staged;
-  bool has_pending_detect = false;
-  SimTime pending_detect_at = SimTime::zero();
-
-  /// When this shard finished its last window (written by the owning
-  /// worker inside run_to, read by the coordinator after the barrier —
-  /// the barrier orders the accesses).
-  std::chrono::steady_clock::time_point window_finished{};
-};
-
-}  // namespace detail
-
-using detail::ShardRuntime;
-
 ShardedSimulation::ShardedSimulation(const ScenarioConfig& config,
                                      std::uint64_t replication_seed,
                                      const ShardingOptions& options, des::QueueImpl des_impl,
                                      graph::GraphCache* graph_cache)
     : config_(config),
-      replication_seed_(replication_seed),
       options_(options),
       window_(options.window > SimTime::zero() ? options.window : config.delivery_delay_mean),
       topology_stream_(rng::derive_seed(replication_seed, kTopologyStream)),
@@ -295,146 +53,46 @@ ShardedSimulation::ShardedSimulation(const ScenarioConfig& config,
                  ? std::min<int>(options_.worker_threads, static_cast<int>(options_.shards))
                  : static_cast<int>(options_.shards);
 
-  build_shards(des_impl, graph_cache);
-  seed_patient_zero();
-}
-
-ShardedSimulation::~ShardedSimulation() = default;
-
-void ShardedSimulation::build_shards(des::QueueImpl des_impl, graph::GraphCache* graph_cache) {
   // Topology, susceptible sampling and patient zero consume the SAME
   // topology-stream sequence as the serial engine, so a sharded run
   // starts from the exact initial conditions (graph, susceptible set,
   // patient zeros) of the serial run with the same seed — only process
   // noise and cross-shard latency differ (docs/parallelism.md).
-  graph_ = resolve_topology(config_, replication_seed_, topology_stream_, graph_cache);
+  graph_ = resolve_topology(config_, replication_seed, topology_stream_, graph_cache);
   partition_ = std::make_unique<graph::Partition>(
       graph::Partition::degree_balanced(*graph_, options_.shards));
 
-  shards_.reserve(options_.shards);
+  lanes_.resize(options_.shards);
+  slices_.reserve(options_.shards);
   for (std::uint32_t s = 0; s < options_.shards; ++s) {
-    shards_.push_back(std::make_unique<ShardRuntime>(*this, s, partition_->range(s),
-                                                     replication_seed_, des_impl));
+    if (options_.profile) lanes_[s].profiler = std::make_unique<prof::Profiler>();
+    slices_.push_back(std::make_unique<EngineSlice>(
+        config_, *graph_, consent_, replication_seed,
+        EngineSlice::Shard{s, partition_.get(), &mailbox_, window_}, des_impl,
+        lanes_[s].profiler.get(), options_.trace));
   }
-
-  std::vector<const phone::PhoneEnvironment*> envs;
-  envs.reserve(options_.shards);
-  for (auto& rt : shards_) {
-    rt->gateway = std::make_unique<net::Gateway>(rt->scheduler, rt->net_stream,
-                                                 config_.delivery_delay_mean);
-    rt->gateway->set_shard_router(rt.get());
-    rt->gateway->set_delivery_callback(
-        [this](graph::PhoneId recipient, const net::MmsMessage& msg) {
-          phones_->receive_infected_message(
-              recipient, {msg.sender, msg.sequence, phone::InfectionChannel::kMms});
-        });
-
-    if (options_.trace != nullptr) {
-      // Each shard records into a private slice of the requested
-      // capacity; its gateway recorder registers first (before the
-      // context's detector), same ordering contract as the serial
-      // engine, with message ids offset into this shard's namespace.
-      constexpr std::size_t kUnboundedCap = std::numeric_limits<std::size_t>::max();
-      const std::size_t cap =
-          options_.trace->capacity() == kUnboundedCap
-              ? kUnboundedCap
-              : std::max<std::size_t>(1, options_.trace->capacity() / options_.shards);
-      rt->owned_trace = std::make_unique<trace::TraceBuffer>(cap);
-      rt->owned_trace->set_shard(rt->index);
-      rt->trace_buffer = rt->owned_trace.get();
-      rt->recorder = std::make_unique<trace::GatewayRecorder>(
-          *rt->trace_buffer, rt->index * trace::kShardMessageStride);
-      rt->gateway->add_observer(*rt->recorder);
-    }
-    if (options_.profile) {
-      rt->profiler = std::make_unique<prof::Profiler>();
-      rt->scheduler.set_event_timer(rt->profiler.get());
-    }
-
-    rt->env.scheduler = &rt->scheduler;
-    rt->env.user_stream = &rt->user_stream;
-    rt->env.consent = &consent_;
-    rt->env.read_delay_mean = config_.read_delay_mean;
-    rt->env.decision_cutoff = config_.decision_cutoff;
-    rt->env.listener = rt.get();
-    envs.push_back(&rt->env);
-  }
-  phones_ = std::make_unique<phone::PhoneTable>(config_.population, std::move(envs),
-                                                partition_->bounds());
-
-  // Global susceptible sampling, bit-for-bit the serial engine's draws.
-  auto susceptible_target = static_cast<std::uint64_t>(
-      std::llround(config_.susceptible_fraction * static_cast<double>(config_.population)));
-  auto chosen = topology_stream_.sample_without_replacement(config_.population,
-                                                            susceptible_target);
-  susceptible_ids_.reserve(chosen.size());
-  std::vector<bool> susceptible(config_.population, false);
-  for (auto id : chosen) susceptible[static_cast<std::size_t>(id)] = true;
-  for (graph::PhoneId id = 0; id < config_.population; ++id) {
-    if (!susceptible[id]) continue;
-    phones_->set_susceptible(id, true);
-    susceptible_ids_.push_back(id);
-    shards_[partition_->shard_of(id)]->patch_targets.push_back(id);
-  }
-  processes_.resize(config_.population);
-
-  for (auto& rt : shards_) {
-    // Per-shard response layer: every mechanism's state is keyed by
-    // sender or gateway, and a phone only ever submits through its
-    // owner shard's gateway, so per-shard instances partition the
-    // global mechanism state without changing its semantics. The
-    // detectability monitor is the one global quantity — it runs
-    // deferred, with the crossing decided at window barriers.
-    rt->context = std::make_unique<SimulationContext>(
-        config_.responses, response::ResponseRegistry::built_ins(), /*defer_detection=*/true);
-
-    rt->sending_env.scheduler = &rt->scheduler;
-    rt->sending_env.virus_stream = &rt->virus_stream;
-    rt->sending_env.gateway = rt->gateway.get();
-    rt->sending_env.trace = rt->trace_buffer;
-
-    response::BuildContext build;
-    build.scheduler = &rt->scheduler;
-    build.response_stream = &rt->response_stream;
-    build.patch_targets = &rt->patch_targets;
-    build.trace = rt->trace_buffer;
-    build.apply_patch = [rt = rt.get()](net::PhoneId id) { rt->on_patch_applied(id); };
-    build.population = config_.population;
-    rt->context->attach(*rt->gateway, rt->sending_env, std::move(build));
-  }
+  phones_ = populate(config_, topology_stream_, slices());
 }
 
-void ShardedSimulation::seed_patient_zero() {
-  // Same draws as Simulation::seed_patient_zero; the force-infect event
-  // is scheduled into the owner shard's queue.
-  auto picks = topology_stream_.sample_without_replacement(susceptible_ids_.size(),
-                                                           config_.initial_infected);
-  for (auto pick : picks) {
-    graph::PhoneId id = susceptible_ids_[static_cast<std::size_t>(pick)];
-    ShardRuntime* rt = shards_[partition_->shard_of(id)].get();
-    rt->scheduler.schedule_at(SimTime::zero(), des::EventType::kSeedInfection,
-                              [this, id] { phones_->force_infect(id); });
-  }
-}
+ShardedSimulation::~ShardedSimulation() = default;
 
 void ShardedSimulation::exchange_mailboxes() {
   // Drain is cheap on purpose: the coordinator only stages the entries;
   // each destination's worker schedules them at its next window start
-  // (ShardRuntime::flush_staged), keeping the serial section between
-  // barriers O(entries copied) rather than O(entries scheduled).
+  // (flush_staged), keeping the serial section between barriers
+  // O(entries copied) rather than O(entries scheduled).
   for (std::uint32_t dst = 0; dst < options_.shards; ++dst) {
-    ShardRuntime* rt = shards_[dst].get();
+    Lane& lane = lanes_[dst];
     mailbox_.drain_to(
-        dst, [rt](const net::CrossShardDelivery& d) { rt->staged.push_back(d); });
+        dst, [&lane](const net::CrossShardDelivery& d) { lane.staged.push_back(d); });
   }
 }
 
 void ShardedSimulation::check_detectability(SimTime window_end) {
-  if (detectability_dispatched_) return;
+  if (detected_at_ != SimTime::infinity()) return;
   std::uint64_t seen = 0;
-  for (const auto& rt : shards_) seen += rt->context->detector().infected_messages_seen();
+  for (const auto& slice : slices_) seen += slice->context().detector().infected_messages_seen();
   if (seen < config_.responses.detectability_threshold) return;
-  detectability_dispatched_ = true;
   detected_at_ = window_end;
   if (options_.trace != nullptr) {
     // Coordinator-level event: the crossing is a global, barrier-
@@ -449,15 +107,12 @@ void ShardedSimulation::check_detectability(SimTime window_end) {
   // development, ...) are ordinary events on the owning scheduler. Like
   // the mailbox entries it is staged here and scheduled by the owning
   // worker at the next window start.
-  for (auto& rt : shards_) {
-    rt->has_pending_detect = true;
-    rt->pending_detect_at = window_end;
-  }
+  for (Lane& lane : lanes_) lane.pending_detect = window_end;
 }
 
 std::uint64_t ShardedSimulation::events_executed_total() const {
   std::uint64_t total = 0;
-  for (const auto& rt : shards_) total += rt->scheduler.executed_count();
+  for (const auto& slice : slices_) total += slice->scheduler().executed_count();
   return total;
 }
 
@@ -471,35 +126,66 @@ ShardedSimulation::ShardWindowSample ShardedSimulation::sample_window(
   sample.mailbox_sent = mailbox_.pushed_total();
   sample.mailbox_received = mailbox_.drained_total();
   const bool threaded = barrier_release != std::chrono::steady_clock::time_point{};
-  sample.shards.reserve(shards_.size());
-  for (const auto& rt : shards_) {
+  sample.shards.reserve(slices_.size());
+  for (std::size_t s = 0; s < slices_.size(); ++s) {
+    const EngineSlice& slice = *slices_[s];
     ShardWindowSample::PerShard per;
-    per.events_executed = rt->scheduler.executed_count();
-    per.queue_depth = rt->scheduler.pending_count();
+    per.events_executed = slice.scheduler().executed_count();
+    per.queue_depth = slice.scheduler().pending_count();
     if (threaded) {
-      per.barrier_wait_ms = std::max(0.0, ms_between(rt->window_finished, barrier_release));
+      per.barrier_wait_ms =
+          std::max(0.0, ms_between(lanes_[s].window_finished, barrier_release));
     }
     sample.events_executed += per.events_executed;
     sample.queue_depth += per.queue_depth;
-    sample.infected += rt->infected_count;
-    sample.patched += rt->patched_infected + rt->immunized_healthy;
-    sample.messages_blocked += rt->gateway->counters().messages_blocked;
+    sample.infected += slice.infected_count();
+    sample.patched += slice.patched_infected() + slice.immunized_healthy();
+    sample.messages_blocked += slice.gateway().counters().messages_blocked;
     sample.shards.push_back(per);
   }
   return sample;
 }
 
 bool ShardedSimulation::quiescent() const {
-  for (const auto& rt : shards_) {
-    if (rt->scheduler.pending_count() != 0) return false;
-    if (!rt->staged.empty() || rt->has_pending_detect) return false;
+  for (std::size_t s = 0; s < slices_.size(); ++s) {
+    if (slices_[s]->scheduler().pending_count() != 0) return false;
+    if (!lanes_[s].staged.empty() || lanes_[s].pending_detect) return false;
   }
   return mailbox_.empty();
 }
 
+void ShardedSimulation::flush_staged(std::size_t s) {
+  Lane& lane = lanes_[s];
+  EngineSlice& slice = *slices_[s];
+  for (const net::CrossShardDelivery& d : lane.staged) slice.deliver_remote(d);
+  lane.staged.clear();
+  if (lane.pending_detect) {
+    slice.schedule_detection(*lane.pending_detect);
+    lane.pending_detect.reset();
+  }
+}
+
+void ShardedSimulation::run_shard(std::size_t s, SimTime until) {
+  flush_staged(s);
+  Lane& lane = lanes_[s];
+  des::Scheduler& scheduler = slices_[s]->scheduler();
+  if (lane.profiler) {
+    const auto begin = std::chrono::steady_clock::now();
+    scheduler.run_until(until);
+    lane.window_finished = std::chrono::steady_clock::now();
+    lane.profiler->record_shard_window(
+        std::chrono::duration<double, std::micro>(lane.window_finished - begin).count());
+  } else {
+    scheduler.run_until(until);
+    // The finish stamp feeds the stats stream's per-shard barrier
+    // waits; skip the clock read when nobody consumes it.
+    if (stats_observer_) lane.window_finished = std::chrono::steady_clock::now();
+  }
+}
+
 namespace {
 
-/// Persistent worker pool for one run(): worker j owns shards j, j+W,
+/// Persistent worker pool for one run(): worker j steps shards j, j+W,
 /// j+2W, ... (static assignment keeps per-shard cache state warm and
 /// the execution schedule deterministic — not that determinism needs
 /// it: shards share no mutable state within a window). Two barriers
@@ -507,9 +193,12 @@ namespace {
 /// frames.
 class WindowPool {
  public:
-  WindowPool(std::vector<std::unique_ptr<ShardRuntime>>& shards, int workers)
+  using Step = std::function<void(std::size_t shard, SimTime until)>;
+
+  WindowPool(std::size_t shards, int workers, Step step)
       : shards_(shards),
         workers_(workers),
+        step_(std::move(step)),
         start_(workers + 1),
         done_(workers + 1),
         errors_(static_cast<std::size_t>(workers)) {
@@ -550,9 +239,9 @@ class WindowPool {
       start_.arrive_and_wait();
       if (stop_) return;
       try {
-        for (std::size_t s = static_cast<std::size_t>(j); s < shards_.size();
+        for (std::size_t s = static_cast<std::size_t>(j); s < shards_;
              s += static_cast<std::size_t>(workers_)) {
-          shards_[s]->run_to(target_);
+          step_(s, target_);
         }
       } catch (...) {
         errors_[static_cast<std::size_t>(j)] = std::current_exception();
@@ -561,8 +250,9 @@ class WindowPool {
     }
   }
 
-  std::vector<std::unique_ptr<ShardRuntime>>& shards_;
+  std::size_t shards_;
   int workers_;
+  Step step_;
   std::barrier<> start_;
   std::barrier<> done_;
   std::vector<std::exception_ptr> errors_;
@@ -573,16 +263,17 @@ class WindowPool {
 
 }  // namespace
 
-void ShardedSimulation::advance_shards(SimTime until) {
-  for (auto& rt : shards_) rt->run_to(until);
-}
-
 ReplicationResult ShardedSimulation::run() {
   if (ran_) throw std::logic_error("ShardedSimulation::run called twice");
   ran_ = true;
 
   std::unique_ptr<WindowPool> pool;
-  if (workers_ > 1) pool = std::make_unique<WindowPool>(shards_, workers_);
+  if (workers_ > 1) {
+    pool = std::make_unique<WindowPool>(slices_.size(), workers_,
+                                        [this](std::size_t s, SimTime until) {
+                                          run_shard(s, until);
+                                        });
+  }
 
   const SimTime horizon = config_.horizon;
   SimTime t = SimTime::zero();
@@ -595,7 +286,7 @@ ReplicationResult ShardedSimulation::run() {
       barrier_release = std::chrono::steady_clock::now();
       barrier_wait_ms_.push_back(waited_ms);
     } else {
-      advance_shards(window_end);
+      for (std::size_t s = 0; s < slices_.size(); ++s) run_shard(s, window_end);
     }
     t = window_end;
     ++windows_stepped_;
@@ -619,99 +310,38 @@ ReplicationResult ShardedSimulation::run() {
   // fire — the serial engine would have fired those too — and whatever
   // they produce is exchanged and scheduled once more so it sits in the
   // queues just like any other never-reached post-horizon event.
-  advance_shards(horizon);
+  for (std::size_t s = 0; s < slices_.size(); ++s) run_shard(s, horizon);
   exchange_mailboxes();
-  for (auto& rt : shards_) rt->flush_staged();
+  for (std::size_t s = 0; s < slices_.size(); ++s) flush_staged(s);
 
-  return collect();
-}
+  ReplicationResult r = assemble_result(slices(), topology_stream_, detected_at_);
 
-ReplicationResult ShardedSimulation::collect() const {
-  ReplicationResult r;
-
-  // K-way merge of the per-shard infection instants into one
-  // cumulative step series (ties resolve lowest-shard-first; any fixed
-  // rule works — the inputs are fixed per (seed, shards)).
-  std::vector<std::size_t> cursor(shards_.size(), 0);
-  std::uint64_t cumulative = 0;
-  while (true) {
-    std::size_t best = shards_.size();
-    SimTime best_at = SimTime::infinity();
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      const auto& times = shards_[s]->infection_times;
-      if (cursor[s] < times.size() && times[cursor[s]] < best_at) {
-        best_at = times[cursor[s]];
-        best = s;
-      }
-    }
-    if (best == shards_.size()) break;
-    ++cursor[best];
-    ++cumulative;
-    r.infections.push(best_at, static_cast<double>(cumulative));
-  }
-
-  response::ResponseMetrics merged;
-  for (const auto& rt : shards_) {
-    r.total_infected += rt->infected_count;
-    r.immunized_healthy += rt->immunized_healthy;
-    r.patched_infected += rt->patched_infected;
-
-    response::ResponseMetrics m = rt->context->metrics();
-    merged.phones_blacklisted += m.phones_blacklisted;
-    merged.phones_flagged += m.phones_flagged;
-    for (auto& [name, value] : m.extras) {
-      auto it = std::find_if(merged.extras.begin(), merged.extras.end(),
-                             [&name](const auto& e) { return e.first == name; });
-      if (it == merged.extras.end()) {
-        merged.extras.emplace_back(name, value);
-      } else {
-        it->second += value;
-      }
-    }
-
-    const net::GatewayCounters& gc = rt->gateway->counters();
-    r.gateway.messages_submitted += gc.messages_submitted;
-    r.gateway.infected_messages_submitted += gc.infected_messages_submitted;
-    r.gateway.messages_blocked += gc.messages_blocked;
-    r.gateway.recipients_delivered += gc.recipients_delivered;
-    r.gateway.invalid_recipients_dropped += gc.invalid_recipients_dropped;
-  }
-  r.phones_blacklisted = merged.phones_blacklisted;
-  r.phones_flagged = merged.phones_flagged;
-  r.response_extras = std::move(merged.extras);
-  r.detected_at = detected_at_;
-
-  // Per-shard telemetry merges exactly like per-replication telemetry
-  // (commutative instruments), then the engine layers its own series
-  // on top: the shard.* group and the build-time topology draws the
-  // shards never see.
+  // The engine layers its own series on top of the merged slice
+  // telemetry: the shard.* group and the per-shard profiles.
   metrics::Registry engine;
-  engine.counter("rng.draws").add(topology_stream_.draw_count());
   engine.gauge("shard.count").set(options_.shards);
   engine.counter("shard.windows").add(windows_stepped_);
   engine.counter("shard.mailbox.sent").add(mailbox_.pushed_total());
   engine.counter("shard.mailbox.received").add(mailbox_.drained_total());
   auto& events_hist = engine.histogram("shard.events_executed", kEventCountBounds);
-  for (const auto& rt : shards_) {
-    events_hist.record(static_cast<double>(rt->scheduler.executed_count()));
+  for (const auto& slice : slices_) {
+    events_hist.record(static_cast<double>(slice->scheduler().executed_count()));
   }
   auto& wait_hist = engine.histogram("shard.barrier_wait_ms", kBarrierWaitBounds);
   for (double ms : barrier_wait_ms_) wait_hist.record(ms);
-
-  r.metrics = engine.snapshot();
-  for (const auto& rt : shards_) {
-    r.metrics.merge(rt->collect_metrics());
-    // Profiler histograms merge commutatively, like any other
-    // instrument — the merged profile is shard-order-independent.
-    if (rt->profiler) r.metrics.merge(rt->profiler->snapshot());
+  r.metrics.merge(engine.snapshot());
+  // Profiler histograms merge commutatively, like any other instrument —
+  // the merged profile is shard-order-independent.
+  for (const Lane& lane : lanes_) {
+    if (lane.profiler) r.metrics.merge(lane.profiler->snapshot());
   }
 
   if (options_.trace != nullptr) {
     // Deterministic (time, shard) merge of the per-shard buffers plus
     // the coordinator's own events; replaces the caller's buffer.
     std::vector<const trace::TraceBuffer*> buffers;
-    buffers.reserve(shards_.size() + 1);
-    for (const auto& rt : shards_) buffers.push_back(rt->trace_buffer);
+    buffers.reserve(slices_.size() + 1);
+    for (const auto& slice : slices_) buffers.push_back(slice->trace());
     buffers.push_back(&engine_trace_);
     *options_.trace = trace::TraceBuffer::merge_shards(buffers);
   }

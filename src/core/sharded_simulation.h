@@ -4,9 +4,10 @@
 // therefore one core; at 10^6 phones that single thread is the
 // wall-clock bound (ROADMAP item 2). ShardedSimulation partitions the
 // contact graph into K contiguous, degree-balanced ranges
-// (graph::Partition) and gives each shard its own des::Scheduler,
-// gateway, RNG streams and response-mechanism instances. Shards
-// advance in lockstep through fixed synchronization windows:
+// (graph::Partition) and drives one EngineSlice per range — each with
+// its own des::Scheduler, gateway, shard-salted RNG streams and
+// response-mechanism instances. Shards advance in lockstep through
+// fixed synchronization windows:
 //
 //   loop: run every shard to the window end (in parallel)
 //         barrier: drain cross-shard mailboxes, sum detectability,
@@ -32,23 +33,23 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
+#include "core/engine_slice.h"
 #include "core/scenario.h"
-#include "core/simulation.h"
 #include "graph/graph_cache.h"
 #include "graph/partition.h"
 #include "net/shard_mailbox.h"
 #include "phone/phone_table.h"
 #include "rng/stream.h"
-#include "stats/time_series.h"
 #include "trace/trace.h"
 
-namespace mvsim::core {
-
-namespace detail {
-struct ShardRuntime;
+namespace mvsim::prof {
+class Profiler;
 }
+
+namespace mvsim::core {
 
 struct ShardingOptions {
   /// Worker shards (>= 2; a 1-shard run is just the serial engine, and
@@ -64,7 +65,7 @@ struct ShardingOptions {
   /// When non-null, the run records a causal trace into it: each shard
   /// fills a private buffer (capacity split evenly, trace->capacity()
   /// / shards each), message ids are namespaced by origin shard
-  /// (trace::kShardMessageStride), and collect() replaces *trace with
+  /// (trace::kShardMessageStride), and run() replaces *trace with
   /// the deterministic (time, shard) merge of all shard buffers.
   /// Observation-only: results are bit-identical with tracing on or
   /// off, at any worker count.
@@ -145,16 +146,26 @@ class ShardedSimulation final {
   [[nodiscard]] const graph::ContactGraph& contact_graph() const { return *graph_; }
 
  private:
-  friend struct detail::ShardRuntime;
+  /// What the driver keeps beside each shard's slice: its profiler and
+  /// what the coordinator staged for it at the last barrier. The window
+  /// barriers order the coordinator's and the owning worker's accesses,
+  /// so none of it needs synchronization.
+  struct Lane {
+    std::unique_ptr<prof::Profiler> profiler;  ///< under options.profile
+    std::vector<net::CrossShardDelivery> staged;
+    std::optional<SimTime> pending_detect;
+    /// When the shard finished its last window (read by the coordinator
+    /// after the barrier for the per-shard barrier waits).
+    std::chrono::steady_clock::time_point window_finished{};
+  };
 
-  void build_shards(des::QueueImpl des_impl, graph::GraphCache* graph_cache);
-  void seed_patient_zero();
-  /// Barrier step: drains every mailbox into the destination shards'
-  /// schedulers (deterministic source order).
+  [[nodiscard]] SliceSet slices() const { return {slices_, partition_.get()}; }
+  /// Barrier step: drains every mailbox into the destination lanes
+  /// (deterministic source order).
   void exchange_mailboxes();
   /// Barrier step: sums per-shard infected-submission counts and, on
-  /// the global threshold crossing, schedules force_detect into every
-  /// shard at `window_end`.
+  /// the global threshold crossing, stages force_detect for every shard
+  /// at `window_end`.
   void check_detectability(SimTime window_end);
   [[nodiscard]] std::uint64_t events_executed_total() const;
   [[nodiscard]] bool quiescent() const;
@@ -164,12 +175,18 @@ class ShardedSimulation final {
   [[nodiscard]] ShardWindowSample sample_window(
       SimTime window_end, double barrier_wait_ms,
       std::chrono::steady_clock::time_point barrier_release) const;
-  /// Runs every shard (inline or via the worker pool) to `until`.
-  void advance_shards(SimTime until);
-  [[nodiscard]] ReplicationResult collect() const;
+  /// Schedules what the coordinator staged for shard `s` at the last
+  /// barrier: first the drained cross-shard deliveries (in drain
+  /// order), then the detectability crossing. Running it on the owning
+  /// worker parallelizes the per-entry scheduling cost across shards.
+  void flush_staged(std::size_t s);
+  /// One lockstep window of shard `s`: flush, then run to `until`.
+  /// Under --profile the window's wall-clock lands in
+  /// prof.shard.window_us (its spread is the imbalance the barrier
+  /// stalls on).
+  void run_shard(std::size_t s, SimTime until);
 
   ScenarioConfig config_;
-  std::uint64_t replication_seed_;
   ShardingOptions options_;
   SimTime window_;
   int workers_ = 1;
@@ -179,23 +196,20 @@ class ShardedSimulation final {
   std::unique_ptr<graph::Partition> partition_;
   phone::ConsentModel consent_;
   net::ShardMailboxGrid mailbox_;
-
-  std::vector<std::unique_ptr<detail::ShardRuntime>> shards_;
   // unique_ptr for address stability, same contract as the serial
   // engine: decision events capture the table pointer.
   std::unique_ptr<phone::PhoneTable> phones_;
-  std::vector<graph::PhoneId> susceptible_ids_;
-  std::vector<std::unique_ptr<virus::SendingProcess>> processes_;  // index = phone id
+  std::vector<Lane> lanes_;  // before slices_: profilers outlive schedulers
+  std::vector<std::unique_ptr<EngineSlice>> slices_;
 
   // Barrier-quantized global detectability (docs/parallelism.md).
-  bool detectability_dispatched_ = false;
   SimTime detected_at_ = SimTime::infinity();
 
   WindowObserver window_observer_;
   StatsObserver stats_observer_;
 
   // Coordinator-level trace events (the detectability crossing); shard
-  // kNoShard, merged after the per-shard buffers at collect().
+  // kNoShard, merged after the per-shard buffers at the end of run().
   trace::TraceBuffer engine_trace_{1};
 
   // Engine-level telemetry (merged on top of the per-shard registries).

@@ -1,68 +1,32 @@
-// One simulation replication: wires the whole system together.
+// One simulation replication on one core.
 //
-// Simulation owns the scheduler, the RNG streams, the contact graph
-// (possibly shared with sibling replications through a GraphCache),
-// the struct-of-arrays phone population table, the gateway, the virus
-// sending processes and whatever response mechanisms the scenario
-// enables, then runs the event loop to the horizon. One Simulation =
-// one replication; the ReplicationRunner aggregates many.
+// Simulation owns the topology stream, the contact graph (possibly
+// shared with sibling replications through a GraphCache) and the
+// struct-of-arrays phone population table, and drives one EngineSlice —
+// scheduler, streams, gateway, virus sending processes and response
+// mechanisms — covering the whole population, seeded with
+// replication-level streams. One Simulation = one replication; the
+// ReplicationRunner aggregates many.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
-#include <string>
-#include <utility>
-
+#include "core/engine_slice.h"
 #include "core/scenario.h"
 #include "core/simulation_context.h"
-#include "metrics/registry.h"
 #include "des/scheduler.h"
 #include "graph/contact_graph.h"
 #include "graph/graph_cache.h"
-#include "mobility/grid.h"
-#include "mobility/movement.h"
+#include "metrics/registry.h"
 #include "net/gateway.h"
 #include "phone/phone_table.h"
 #include "rng/stream.h"
-#include "stats/time_series.h"
-#include "trace/recorder.h"
 #include "trace/trace.h"
-#include "virus/sending_process.h"
 
 namespace mvsim::core {
 
-/// Everything a replication reports back.
-struct ReplicationResult {
-  /// Step series of the infected-phone count over time (the quantity
-  /// every figure in the paper plots).
-  stats::TimeSeries infections;
-  std::uint64_t total_infected = 0;
-  std::uint64_t immunized_healthy = 0;   ///< phones patched while healthy
-  std::uint64_t patched_infected = 0;    ///< infected phones silenced by a patch
-  std::uint64_t phones_blacklisted = 0;
-  std::uint64_t phones_flagged = 0;
-  /// Bluetooth infection offers made (dual-vector scenarios only);
-  /// this traffic never transits the gateway.
-  std::uint64_t bluetooth_push_attempts = 0;
-  /// Mechanism-specific counters beyond the standard fields above,
-  /// keyed by mechanism-chosen names (e.g. "phones_rate_limited").
-  std::vector<std::pair<std::string, std::uint64_t>> response_extras;
-  net::GatewayCounters gateway;
-  /// When the virus crossed the detectability threshold (infinity if
-  /// never, e.g. a virus contained before reaching it).
-  SimTime detected_at = SimTime::infinity();
-  /// Run telemetry (des/net/core/rng/response counters, see
-  /// docs/observability.md). Deterministic in (scenario, seed);
-  /// collection is observation-only and always on.
-  metrics::Snapshot metrics;
-  /// Wall-clock time this replication took (stamped by the runner;
-  /// 0 when the Simulation was driven directly).
-  double wall_seconds = 0.0;
-};
-
-class Simulation final : private phone::InfectionListener {
+class Simulation final {
  public:
   /// Validates `config`; the replication seed makes runs reproducible
   /// and replications independent. When `trace` is non-null the whole
@@ -93,7 +57,7 @@ class Simulation final : private phone::InfectionListener {
              trace::TraceBuffer* trace = nullptr, des::EventTimer* event_timer = nullptr,
              des::QueueImpl des_impl = des::QueueImpl::kWheel,
              graph::GraphCache* graph_cache = nullptr);
-  ~Simulation() override;
+  ~Simulation();
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
@@ -112,81 +76,36 @@ class Simulation final : private phone::InfectionListener {
   /// The replication's telemetry so far (also embedded in result()).
   [[nodiscard]] metrics::Snapshot collect_metrics() const;
 
-  [[nodiscard]] SimTime now() const { return scheduler_.now(); }
-  [[nodiscard]] std::uint64_t infected_count() const { return infected_count_; }
+  [[nodiscard]] SimTime now() const { return slice_->scheduler().now(); }
+  [[nodiscard]] std::uint64_t infected_count() const { return slice_->infected_count(); }
   /// Infected phones silenced by a patch so far.
-  [[nodiscard]] std::uint64_t patched_infected() const { return patched_infected_; }
+  [[nodiscard]] std::uint64_t patched_infected() const { return slice_->patched_infected(); }
   /// Healthy phones immunized so far.
-  [[nodiscard]] std::uint64_t immunized_healthy() const { return immunized_healthy_; }
+  [[nodiscard]] std::uint64_t immunized_healthy() const { return slice_->immunized_healthy(); }
   [[nodiscard]] const graph::ContactGraph& contact_graph() const { return *graph_; }
   /// The struct-of-arrays population state (health, susceptibility,
   /// inbox counts), indexed by PhoneId.
   [[nodiscard]] const phone::PhoneTable& phones() const { return *phones_; }
-  [[nodiscard]] std::size_t susceptible_count() const { return susceptible_ids_.size(); }
-  [[nodiscard]] const net::Gateway& gateway() const { return *gateway_; }
-  [[nodiscard]] des::Scheduler& scheduler() { return scheduler_; }
+  [[nodiscard]] std::size_t susceptible_count() const { return slice_->patch_targets().size(); }
+  [[nodiscard]] const net::Gateway& gateway() const { return slice_->gateway(); }
+  [[nodiscard]] des::Scheduler& scheduler() { return slice_->scheduler(); }
   /// The response layer: detectability monitor + enabled mechanisms.
-  [[nodiscard]] const SimulationContext& responses() const { return *context_; }
+  [[nodiscard]] const SimulationContext& responses() const { return slice_->context(); }
 
  private:
-  void build_topology(graph::GraphCache* graph_cache);
-  void build_phones();
-  void build_responses();
-  void build_proximity_channel();
-  void seed_patient_zero();
-  /// InfectionListener: the PhoneTable's exactly-once infection
-  /// notification, carrying the provenance the trace layer records.
-  void on_phone_infected(phone::PhoneId id, const phone::InfectionSource& source) override;
-  void on_patch_applied(graph::PhoneId id);
-  void schedule_bluetooth_scan(graph::PhoneId id);
+  [[nodiscard]] SliceSet slices() const { return {{&slice_, 1}, nullptr}; }
 
   ScenarioConfig config_;
-  std::uint64_t replication_seed_;
-
-  // RNG streams — one per concern, all derived from the replication
-  // seed, so no component's draws perturb another's sequence.
+  // Susceptible sampling and patient zero draw here after the build.
   rng::Stream topology_stream_;
-  rng::Stream user_stream_;
-  rng::Stream virus_stream_;
-  rng::Stream net_stream_;
-  rng::Stream response_stream_;
-  rng::Stream mobility_stream_;
-  rng::Stream proximity_stream_;
-
-  des::Scheduler scheduler_;
   // Immutable once built; shared with sibling replications when a
   // GraphCache is in play.
   std::shared_ptr<const graph::ContactGraph> graph_;
-  std::unique_ptr<net::Gateway> gateway_;
-
   phone::ConsentModel consent_;
-  phone::PhoneEnvironment phone_env_;
   // unique_ptr for address stability: pending decision events capture
-  // the table pointer (same contract the old never-reallocated phone
-  // vector had).
+  // the table pointer.
   std::unique_ptr<phone::PhoneTable> phones_;
-  std::vector<graph::PhoneId> susceptible_ids_;
-
-  virus::SendingEnvironment sending_env_;
-  std::vector<std::unique_ptr<virus::SendingProcess>> processes_;  // index = phone id
-
-  // The response layer, behind the mechanism-agnostic dispatch
-  // context; which mechanisms exist is the registry's business.
-  std::unique_ptr<SimulationContext> context_;
-
-  // Optional Bluetooth side channel (dual-vector viruses).
-  std::unique_ptr<mobility::MobilityGrid> proximity_grid_;
-  std::unique_ptr<mobility::MovementProcess> movement_;
-
-  stats::TimeSeries infections_;
-  std::uint64_t infected_count_ = 0;
-  std::uint64_t patched_infected_ = 0;
-  std::uint64_t immunized_healthy_ = 0;
-  std::uint64_t bluetooth_push_attempts_ = 0;
-  trace::TraceBuffer* trace_ = nullptr;  // non-owning, may be null
-  /// Turns gateway observer callbacks into trace events; only built
-  /// when trace_ is set.
-  std::unique_ptr<trace::GatewayRecorder> recorder_;
+  std::unique_ptr<EngineSlice> slice_;
   bool ran_ = false;
 };
 

@@ -4,8 +4,7 @@
 // (config, replication seed) pair — the graph, the stream it consumes,
 // and the GraphCache key all have to match or the sharded engine's
 // initial conditions would silently drift from the serial ones. These
-// helpers are that single source of truth (they used to live in
-// simulation.cpp's anonymous namespace).
+// helpers are that single source of truth.
 #pragma once
 
 #include <cstdint>
@@ -54,8 +53,8 @@ graph::GraphCacheKey topology_cache_key(const ScenarioConfig& config,
 /// seeded from the replication seed); on return it is positioned
 /// exactly where a private, uncached, unshared build would have left
 /// it — the continuation point susceptible sampling and patient zero
-/// draw from (see Simulation::build_topology for the cache-hit
-/// restore contract).
+/// draw from (see graph::GraphCache for the cache-hit restore
+/// contract).
 std::shared_ptr<const graph::ContactGraph> resolve_topology(const ScenarioConfig& config,
                                                             std::uint64_t replication_seed,
                                                             rng::Stream& topology_stream,

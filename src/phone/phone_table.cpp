@@ -15,12 +15,8 @@ void check_env(const PhoneEnvironment* env) {
 
 }  // namespace
 
-PhoneTable::PhoneTable(PhoneId population, const PhoneEnvironment* env) : env_(env) {
-  check_env(env);
-  flags_.assign(population, 0);
-  received_.assign(population, 0);
-  pending_.assign(population, 0);
-}
+PhoneTable::PhoneTable(PhoneId population, const PhoneEnvironment* env)
+    : PhoneTable(population, std::vector<const PhoneEnvironment*>{env}, {0, population}) {}
 
 PhoneTable::PhoneTable(PhoneId population, std::vector<const PhoneEnvironment*> envs,
                        std::vector<PhoneId> bounds)
@@ -35,6 +31,7 @@ PhoneTable::PhoneTable(PhoneId population, std::vector<const PhoneEnvironment*> 
     }
   }
   for (const PhoneEnvironment* env : envs_) check_env(env);
+  if (envs_.size() == 1) env_ = envs_.front();  // the serial fast path
   flags_.assign(population, 0);
   received_.assign(population, 0);
   pending_.assign(population, 0);

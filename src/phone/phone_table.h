@@ -117,7 +117,7 @@ class PhoneTable {
   static constexpr std::uint8_t kSusceptibleBit = 0b0000'0100;
   static constexpr std::uint8_t kPatchedBit = 0b0000'1000;
 
-  const PhoneEnvironment* env_;  ///< non-null iff single-environment
+  const PhoneEnvironment* env_;  ///< non-null iff there is one environment
   std::vector<const PhoneEnvironment*> envs_;  ///< sharded mode only
   std::vector<PhoneId> env_bounds_;            ///< sharded mode only
   std::vector<std::uint8_t> flags_;

@@ -299,6 +299,52 @@ TEST(Cli, RunRejectsBadShardFlags) {
   std::remove(path.c_str());
 }
 
+TEST(Cli, ShardWindowReadsScenarioDurations) {
+  // --shard-window takes the units scenario JSON uses; a bare number
+  // still means minutes. The manifest records the parsed window.
+  std::string path = write_small_scenario();
+  std::string manifest_path = ::testing::TempDir() + "/mvsim_cli_window_" +
+                              std::to_string(static_cast<long long>(::getpid())) + ".json";
+  auto window_minutes = [&](const char* window) {
+    CliResult r = invoke({"run", path, "--reps", "1", "--seed", "3", "--shards", "2",
+                          "--shard-workers", "1", "--shard-window", window, "--quiet",
+                          "--manifest", manifest_path});
+    EXPECT_EQ(r.code, 0) << window << ": " << r.err;
+    return obs::read_manifest_file(manifest_path).shard_window_min;
+  };
+  EXPECT_DOUBLE_EQ(window_minutes("5"), 5.0);
+  EXPECT_DOUBLE_EQ(window_minutes("5min"), 5.0);
+  EXPECT_DOUBLE_EQ(window_minutes("0.5h"), 30.0);
+  for (const char* bad : {"0", "-1", "abc", "0min", "-2h", "5 fortnights"}) {
+    CliResult r = invoke({"run", path, "--shards", "2", "--shard-window", bad});
+    EXPECT_EQ(r.code, 1) << bad;
+    EXPECT_NE(r.err.find("--shard-window"), std::string::npos) << bad << ": " << r.err;
+  }
+  std::remove(manifest_path.c_str());
+  std::remove(path.c_str());
+}
+
+TEST(Cli, StatsPeriodReadsScenarioDurations) {
+  std::string path = write_small_scenario();
+  auto samples = [&](const char* period) {
+    CliResult r = invoke({"run", path, "--reps", "1", "--quiet", "--stats-stream", "-",
+                          "--stats-period", period});
+    EXPECT_EQ(r.code, 0) << period << ": " << r.err;
+    std::size_t count = 0;
+    for (std::size_t at = r.out.find("\"type\":\"sample\""); at != std::string::npos;
+         at = r.out.find("\"type\":\"sample\"", at + 1)) {
+      ++count;
+    }
+    return count;
+  };
+  const std::size_t bare = samples("120");
+  EXPECT_GT(bare, 0u);
+  EXPECT_EQ(samples("2h"), bare);
+  EXPECT_EQ(samples("120min"), bare);
+  EXPECT_EQ(invoke({"run", path, "--stats-stream", "-", "--stats-period", "-1h"}).code, 1);
+  std::remove(path.c_str());
+}
+
 TEST(Cli, RunShardsComposesWithTraceProfileAndStatsStream) {
   // The full shard observability stack in one invocation: merged
   // shard-stamped trace, merged profile with the shard-window series,

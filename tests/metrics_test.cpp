@@ -88,7 +88,11 @@ TEST(MetricsRegistry, HistogramReregistrationMustMatchBounds) {
 TEST(MetricsRegistry, InstrumentReferencesAreStable) {
   Registry reg;
   Counter& a = reg.counter("a");
-  for (int i = 0; i < 100; ++i) reg.counter("c" + std::to_string(i));
+  for (int i = 0; i < 100; ++i) {
+    std::string name = "c";
+    name += std::to_string(i);
+    reg.counter(name);
+  }
   a.add(5);
   EXPECT_EQ(reg.counter("a").value(), 5u);
 }
@@ -385,7 +389,10 @@ TEST(MetricsDocs, EveryScheduledMetricIsDocumented) {
   buffer << file.rdbuf();
   const std::string doc = buffer.str();
   for (const MetricDescriptor& d : schema()) {
-    EXPECT_NE(doc.find("`" + std::string(d.name) + "`"), std::string::npos)
+    std::string quoted = "`";
+    quoted += d.name;
+    quoted += '`';
+    EXPECT_NE(doc.find(quoted), std::string::npos)
         << d.name << " is in metrics::schema() but not documented in docs/observability.md";
   }
 #endif

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 #include <tuple>
 
 #include <memory>
@@ -78,9 +79,13 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(8.0, 40.0, 80.0),
                        ::testing::Values<std::uint64_t>(1, 2)),
     [](const auto& param_info) {
-      return "n" + std::to_string(std::get<0>(param_info.param)) + "_d" +
-             std::to_string(static_cast<int>(std::get<1>(param_info.param))) + "_s" +
-             std::to_string(std::get<2>(param_info.param));
+      std::string name = "n";
+      name += std::to_string(std::get<0>(param_info.param));
+      name += "_d";
+      name += std::to_string(static_cast<int>(std::get<1>(param_info.param)));
+      name += "_s";
+      name += std::to_string(std::get<2>(param_info.param));
+      return name;
     });
 
 class ErdosRenyiProperties : public ::testing::TestWithParam<GraphParam> {};
@@ -104,9 +109,13 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(5.0, 40.0, 80.0),
                        ::testing::Values<std::uint64_t>(3, 4)),
     [](const auto& param_info) {
-      return "n" + std::to_string(std::get<0>(param_info.param)) + "_d" +
-             std::to_string(static_cast<int>(std::get<1>(param_info.param))) + "_s" +
-             std::to_string(std::get<2>(param_info.param));
+      std::string name = "n";
+      name += std::to_string(std::get<0>(param_info.param));
+      name += "_d";
+      name += std::to_string(static_cast<int>(std::get<1>(param_info.param)));
+      name += "_s";
+      name += std::to_string(std::get<2>(param_info.param));
+      return name;
     });
 
 // ---- Consent solver: round-trips across the feasible target range. ----
