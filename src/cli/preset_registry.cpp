@@ -37,6 +37,8 @@ const std::vector<Registered>& registry() {
        [] { return core::fig7_blacklist_scenario(10); }},
       {{"market-share", "Virus 1 confined to a 0.30-share platform on a sparse shared graph"},
        [] { return core::market_share_scenario(0.30); }},
+      {{"bluetooth-worm", "Cabir-style worm spreading only over Bluetooth, no response"},
+       [] { return core::bluetooth_worm_scenario(); }},
   };
   return presets;
 }

@@ -61,6 +61,7 @@ const char* to_string(virus::SendTrigger trigger) {
   switch (trigger) {
     case virus::SendTrigger::kActive: return "active";
     case virus::SendTrigger::kPiggyback: return "piggyback";
+    case virus::SendTrigger::kNone: return "none";
   }
   return "?";
 }
@@ -68,7 +69,8 @@ const char* to_string(virus::SendTrigger trigger) {
 virus::SendTrigger trigger_from_string(const std::string& s, const std::string& path) {
   if (s == "active") return virus::SendTrigger::kActive;
   if (s == "piggyback") return virus::SendTrigger::kPiggyback;
-  fail(path, "unknown send trigger '" + s + "' (active | piggyback)");
+  if (s == "none") return virus::SendTrigger::kNone;
+  fail(path, "unknown send trigger '" + s + "' (active | piggyback | none)");
 }
 
 core::TopologyConfig::Kind topology_kind_from_string(const std::string& s,

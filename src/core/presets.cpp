@@ -108,4 +108,19 @@ ScenarioConfig market_share_scenario(double share, graph::PhoneId population) {
   return config;
 }
 
+ScenarioConfig bluetooth_worm_scenario() {
+  ScenarioConfig config;
+  config.name = "ext/bluetooth-worm";
+  config.virus = virus::VirusProfile{};
+  config.virus.name = "Bluetooth worm";
+  config.virus.trigger = virus::SendTrigger::kNone;
+  config.proximity = ProximityChannelConfig{};  // 16x16, 30 min dwell, hourly scans
+  // A Bluetooth push pops a dialog, so decisions are faster than MMS
+  // inbox reads.
+  config.read_delay_mean = SimTime::minutes(5.0);
+  config.responses.detectability_threshold = 0;
+  config.horizon = SimTime::days(7.0);
+  return config;
+}
+
 }  // namespace mvsim::core

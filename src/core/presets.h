@@ -61,4 +61,17 @@ namespace mvsim::core {
 [[nodiscard]] ScenarioConfig market_share_scenario(double share,
                                                    graph::PhoneId population = 20000);
 
+/// Bluetooth-worm extension (paper §6: viruses "that spread using the
+/// Bluetooth interface on a phone"). A Cabir-style worm sends no MMS
+/// (trigger "none") and spreads only over the proximity channel: each
+/// infected phone scans its grid cell about once an hour and pushes
+/// itself to one co-located phone, whose user accepts on the paper's
+/// consent curve. The gateways never see this traffic, so the provider
+/// learns of the worm out-of-band, modeled as detectability threshold
+/// 0 (known at t = 0); an immunization's development_time then covers
+/// both the detection delay and the patch development. Only the
+/// infection-point mechanisms (user education, immunization) can act.
+/// 1000 phones on a 16x16 torus (about 4 per cell), tracked for 7 days.
+[[nodiscard]] ScenarioConfig bluetooth_worm_scenario();
+
 }  // namespace mvsim::core

@@ -50,6 +50,11 @@ ValidationErrors ScenarioConfig::validate() const {
   errors.require(delivery_delay_mean > SimTime::zero(), "delivery_delay_mean must be positive");
   errors.merge(virus.validate());
   if (proximity) errors.merge(proximity->validate());
+  if (virus.trigger == virus::SendTrigger::kNone) {
+    errors.require(proximity.has_value(),
+                   "virus trigger 'none' sends no MMS, so it needs a proximity block "
+                   "(otherwise nothing can spread)");
+  }
   errors.merge(responses.validate());
   errors.require(horizon > SimTime::zero() && horizon.is_finite(),
                  "horizon must be finite and positive");

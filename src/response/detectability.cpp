@@ -5,11 +5,7 @@
 namespace mvsim::response {
 
 DetectabilityMonitor::DetectabilityMonitor(std::uint64_t threshold, bool deferred)
-    : threshold_(threshold), deferred_(deferred) {
-  if (threshold == 0) {
-    throw std::invalid_argument("DetectabilityMonitor: threshold must be >= 1");
-  }
-}
+    : threshold_(threshold), deferred_(deferred) {}
 
 void DetectabilityMonitor::on_detected(Callback callback) {
   if (detected_) {

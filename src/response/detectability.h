@@ -23,7 +23,8 @@ class DetectabilityMonitor final : public net::GatewayObserver {
   using Callback = std::function<void(SimTime detected_at)>;
 
   /// Fires callbacks the moment the `threshold`-th infected message is
-  /// submitted. threshold >= 1.
+  /// submitted. Threshold 0 means "known at t = 0": the engine then
+  /// calls force_detect(0) before any event runs.
   ///
   /// In `deferred` mode the monitor only counts: it never crosses on
   /// its own, because the threshold is global while this monitor sees

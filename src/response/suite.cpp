@@ -16,7 +16,6 @@ int ResponseSuiteConfig::enabled_count() const {
 
 ValidationErrors ResponseSuiteConfig::validate() const {
   ValidationErrors errors("ResponseSuiteConfig");
-  errors.require(detectability_threshold >= 1, "detectability_threshold must be >= 1");
   for (const MechanismInfo& info : ResponseRegistry::built_ins().mechanisms()) {
     if (info.enabled(*this)) errors.merge(info.validate(*this));
   }

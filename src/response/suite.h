@@ -36,7 +36,9 @@ struct ResponseSuiteConfig {
 
   /// Cumulative infected messages the gateways must observe before
   /// "the virus becomes detectable" (gates scan / detection /
-  /// immunization activation; see response/detectability.h).
+  /// immunization activation; see response/detectability.h). 0 means
+  /// the virus is known out-of-band from t = 0 (a Bluetooth worm the
+  /// gateways never see).
   std::uint64_t detectability_threshold = 5;
 
   [[nodiscard]] bool any_enabled() const;

@@ -37,6 +37,7 @@ enum class BudgetKind : std::uint8_t {
 enum class SendTrigger : std::uint8_t {
   kActive,     ///< sends on its own timer as soon as allowed
   kPiggyback,  ///< Virus 4: rides the phone's legitimate MMS activity
+  kNone,       ///< sends no MMS at all (a proximity-only worm)
 };
 
 struct VirusProfile {

@@ -86,8 +86,17 @@ TEST(DetectabilityMonitor, RegistrationAfterDetectionThrows) {
   EXPECT_THROW(monitor.on_detected([](SimTime) {}), std::logic_error);
 }
 
-TEST(DetectabilityMonitor, ZeroThresholdRejected) {
-  EXPECT_THROW(DetectabilityMonitor(0), std::invalid_argument);
+TEST(DetectabilityMonitor, ZeroThresholdWaitsForForceDetectAtStart) {
+  // Threshold 0 means "known out-of-band at t = 0": the engine calls
+  // force_detect(0) before any event runs.
+  DetectabilityMonitor monitor(0);
+  SimTime fired_at = SimTime::infinity();
+  monitor.on_detected([&](SimTime at) { fired_at = at; });
+  EXPECT_FALSE(monitor.detected());
+  monitor.force_detect(SimTime::zero());
+  EXPECT_TRUE(monitor.detected());
+  EXPECT_EQ(fired_at, SimTime::zero());
+  EXPECT_EQ(monitor.detected_at(), SimTime::zero());
 }
 
 TEST(GatewayScan, InactiveUntilDelayElapses) {
@@ -547,9 +556,8 @@ TEST(ResponseSuite, CountsEnabledMechanisms) {
 
 TEST(ResponseSuite, ValidationAggregatesSubConfigs) {
   ResponseSuiteConfig suite;
-  suite.detectability_threshold = 0;
-  EXPECT_FALSE(suite.validate().ok());
-  suite = ResponseSuiteConfig{};
+  suite.detectability_threshold = 0;  // out-of-band detection at t = 0
+  EXPECT_TRUE(suite.validate().ok());
   BlacklistConfig bad;
   bad.message_threshold = 0;
   suite.blacklist = bad;

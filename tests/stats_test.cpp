@@ -1,12 +1,14 @@
 // Unit tests for src/stats: time series, aggregation, summaries.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "stats/aggregate.h"
 #include "stats/quantiles.h"
 #include "stats/summary.h"
 #include "stats/time_series.h"
+#include "two_sample.h"
 
 namespace mvsim::stats {
 namespace {
@@ -269,6 +271,36 @@ TEST(QuantileSeries, Validation) {
   q.add_replication(s);
   EXPECT_THROW((void)q.quantile_at(SimTime::zero(), 1.5), std::invalid_argument);
   EXPECT_THROW((void)q.band(0.9, 0.1), std::invalid_argument);
+}
+
+TEST(TwoSample, KsStatisticOnKnownSamples) {
+  EXPECT_DOUBLE_EQ(ks_statistic({1, 2, 3, 4}, {3, 4, 5, 6}), 0.5);
+  EXPECT_DOUBLE_EQ(ks_statistic({1, 2, 3}, {1, 2, 3}), 0.0);
+  // Ties step both ECDFs together: F_a(1) = 2/3, F_b(1) = 1/3.
+  EXPECT_DOUBLE_EQ(ks_statistic({1, 1, 2}, {1, 2, 2}), 1.0 / 3.0);
+  // +infinity ("never happened") ties with itself, above every finite value.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_DOUBLE_EQ(ks_statistic({1, inf}, {inf, inf}), 0.5);
+  EXPECT_DOUBLE_EQ(ks_statistic({inf, inf}, {inf}), 0.0);
+  EXPECT_THROW((void)ks_statistic({}, {1}), std::invalid_argument);
+}
+
+TEST(TwoSample, KsCriticalValueMatchesTheAsymptoticTable) {
+  // c(0.01) = 1.628, c(0.05) = 1.358 (Smirnov's asymptotic table).
+  EXPECT_NEAR(ks_critical_value(64, 64, 0.01), 1.6276 * std::sqrt(128.0 / 4096.0), 1e-4);
+  EXPECT_NEAR(ks_critical_value(64, 64, 0.01), 0.2877, 1e-4);
+  EXPECT_NEAR(ks_critical_value(100, 50, 0.05), 1.3581 * std::sqrt(150.0 / 5000.0), 1e-4);
+}
+
+TEST(TwoSample, WelchTOnKnownSamples) {
+  // Means 3 and 6, variances 2.5 and 10: t = -3 / sqrt(0.5 + 2),
+  // df = 2.5^2 / (0.5^2 / 4 + 2^2 / 4).
+  WelchResult r = welch_t({1, 2, 3, 4, 5}, {2, 4, 6, 8, 10});
+  EXPECT_NEAR(r.t, -3.0 / std::sqrt(2.5), 1e-12);
+  EXPECT_NEAR(r.df, 6.25 / 1.0625, 1e-12);
+  EXPECT_DOUBLE_EQ(welch_t({1, 2, 3}, {1, 2, 3}).t, 0.0);
+  EXPECT_THROW((void)welch_t({1}, {1, 2}), std::invalid_argument);
+  EXPECT_THROW((void)welch_t({2, 2}, {2, 2}), std::invalid_argument);
 }
 
 }  // namespace
