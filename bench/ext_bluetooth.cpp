@@ -4,7 +4,10 @@
 // viruses "that spread using the Bluetooth interface on a phone".
 // This bench runs that study: a Cabir-style proximity worm over a
 // mobility grid, and the subset of the six response mechanisms that
-// still function when there is no MMS gateway in the loop.
+// still function when there is no MMS gateway in the loop. Every
+// configuration is the `bluetooth-worm` scenario
+// (core::bluetooth_worm_scenario) through core::run_experiment, so each
+// harness case reports the engine events it executed.
 //
 // Headline finding: the provider's entire reception- and
 // dissemination-point arsenal (signature scan, detection algorithm,
@@ -14,24 +17,27 @@
 // for fast viruses.
 #include "bench_common.h"
 
-#include "mobility/bluetooth.h"
-
 using namespace mvsim;
 using namespace mvsim::bench;
 
 namespace {
 
-// Bluetooth experiments expose no event counter, so their harness cases
-// report wall-clock only (events = 0).
-mobility::BluetoothExperimentResult run_bt(Harness& harness, const std::string& label,
-                                           const mobility::BluetoothScenarioConfig& config) {
-  std::optional<mobility::BluetoothExperimentResult> result;
-  harness.run_case(label, [&config, &result] {
-    result.emplace(mobility::run_bluetooth_experiment(config, core::replications_from_env(10),
-                                                      0xB1'0E'00'07ULL));
-    return std::uint64_t{0};
-  });
-  return std::move(*result);
+core::ExperimentResult run_bt(Harness& harness, const std::string& label,
+                              const core::ScenarioConfig& config) {
+  core::RunnerOptions options = default_options();
+  options.master_seed = 0xB1'0E'00'07ULL;
+  return run_experiment_case(harness, label, config, options);
+}
+
+/// The provider learns of the worm out-of-band at t = 0, so one
+/// development_time covers detection plus patch development.
+core::ScenarioConfig with_patches(core::ScenarioConfig config, SimTime until_rollout,
+                                  SimTime deployment) {
+  response::ImmunizationConfig immunization;
+  immunization.development_time = until_rollout;
+  immunization.deployment_duration = deployment;
+  config.responses.immunization = immunization;
+  return config;
 }
 
 }  // namespace
@@ -40,35 +46,26 @@ int main() {
   std::cout << "mvsim EXT-BT: Bluetooth proximity worm (paper section 6 extension)\n";
   Harness harness("ext_bluetooth");
 
-  mobility::BluetoothScenarioConfig base;  // 1000 phones, 16x16 grid
-  mobility::BluetoothExperimentResult baseline = run_bt(harness, "Baseline", base);
+  const core::ScenarioConfig base = core::bluetooth_worm_scenario();  // 1000 phones, 16x16
+  core::ExperimentResult baseline = run_bt(harness, "Baseline", base);
 
-  mobility::BluetoothScenarioConfig educated = base;
-  response::UserEducationConfig education;
-  education.eventual_acceptance = 0.20;
-  educated.user_education = education;
-  mobility::BluetoothExperimentResult with_education =
-      run_bt(harness, "User education 0.20", educated);
+  core::ScenarioConfig educated = base;
+  educated.responses.user_education = response::UserEducationConfig{0.20};
+  core::ExperimentResult with_education = run_bt(harness, "User education 0.20", educated);
 
-  mobility::BluetoothScenarioConfig patched = base;
-  patched.immunization = mobility::BluetoothImmunizationConfig{};  // 24h detect + 24h dev + 6h
-  mobility::BluetoothExperimentResult with_patches = run_bt(harness, "Patch 24h+24h+6h", patched);
-
-  mobility::BluetoothScenarioConfig fast_patched = base;
-  mobility::BluetoothImmunizationConfig fast;
-  fast.detection_time = SimTime::hours(12.0);
-  fast.development_time = SimTime::hours(12.0);
-  fast.deployment_duration = SimTime::hours(1.0);
-  fast_patched.immunization = fast;
-  mobility::BluetoothExperimentResult with_fast_patches =
-      run_bt(harness, "Patch 12h+12h+1h", fast_patched);
+  core::ExperimentResult with_patches_slow =
+      run_bt(harness, "Patch 24h+24h+6h",
+             with_patches(base, SimTime::hours(48.0), SimTime::hours(6.0)));
+  core::ExperimentResult with_fast_patches =
+      run_bt(harness, "Patch 12h+12h+1h",
+             with_patches(base, SimTime::hours(24.0), SimTime::hours(1.0)));
 
   std::cout << "== Bluetooth worm: infection curves ==\n";
   std::cout << "Hours,Baseline,User Education 0.20,Patch 24h+24h+6h,Patch 12h+12h+1h\n";
   for (SimTime t = SimTime::zero(); t <= base.horizon; t += SimTime::hours(6.0)) {
     std::cout << fmt(t.to_hours()) << ',' << fmt(baseline.curve.mean_at(t)) << ','
               << fmt(with_education.curve.mean_at(t)) << ','
-              << fmt(with_patches.curve.mean_at(t)) << ','
+              << fmt(with_patches_slow.curve.mean_at(t)) << ','
               << fmt(with_fast_patches.curve.mean_at(t)) << '\n';
   }
 
@@ -83,18 +80,18 @@ int main() {
              " (" + fmt(100.0 * with_education.final_infections.mean() / base_final) +
              "% of baseline)");
   report("handset patching remains effective and its delay dominates (as in Figure 5)",
-         "48h+6h cycle -> " + fmt(with_patches.final_infections.mean()) + "; 24h+1h cycle -> " +
-             fmt(with_fast_patches.final_infections.mean()));
+         "48h+6h cycle -> " + fmt(with_patches_slow.final_infections.mean()) +
+             "; 24h+1h cycle -> " + fmt(with_fast_patches.final_infections.mean()));
 
   // Density sweep: proximity spread is gated by encounters, a knob MMS
   // propagation does not have.
   std::cout << "-- density sweep (phones per cell) --\n";
   std::cout << "grid,phones_per_cell,final_infected,half_plateau_hours\n";
   for (std::uint32_t side : {8u, 16u, 32u}) {
-    mobility::BluetoothScenarioConfig config = base;
-    config.grid_width = side;
-    config.grid_height = side;
-    mobility::BluetoothExperimentResult result =
+    core::ScenarioConfig config = base;
+    config.proximity->grid_width = side;
+    config.proximity->grid_height = side;
+    core::ExperimentResult result =
         run_bt(harness, "Density " + std::to_string(side) + "x" + std::to_string(side), config);
     SimTime half = result.curve.mean_first_time_at_or_above(160.0);
     std::cout << side << "x" << side << ","

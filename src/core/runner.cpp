@@ -138,7 +138,7 @@ void run_worker(const ScenarioConfig& config, const RunnerOptions& options, int 
         prof::ScopedPhase phase(profiler.get(), prof::Phase::kBuild);
         sim.emplace(config,
                     rng::derive_seed(options.master_seed, static_cast<std::uint64_t>(rep)),
-                    sharding, options.des_impl, cache);
+                    sharding, des::QueueImpl::kWheel, cache);
       }
       if (progress != nullptr) {
         sim->set_window_observer(
@@ -208,7 +208,7 @@ void run_worker(const ScenarioConfig& config, const RunnerOptions& options, int 
       prof::ScopedPhase phase(profiler.get(), prof::Phase::kBuild);
       sim.emplace(config,
                   rng::derive_seed(options.master_seed, static_cast<std::uint64_t>(rep)), trace,
-                  profiler.get(), options.des_impl, cache);
+                  profiler.get(), des::QueueImpl::kWheel, cache);
     }
     {
       prof::ScopedPhase phase(profiler.get(), prof::Phase::kRun);

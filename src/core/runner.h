@@ -114,10 +114,6 @@ struct RunnerOptions {
   /// instrumentation is observation-only, so profiled runs are
   /// bit-identical to unprofiled ones.
   bool profile = false;
-  /// Scheduler queue implementation for every replication (`mvsim run
-  /// --des-impl {wheel,heap}`). Both fire bit-identical event orders;
-  /// the heap is the legacy A/B reference for the calendar queue.
-  des::QueueImpl des_impl = des::QueueImpl::kWheel;
   /// Shared-graph cache. When non-null, every replication fetches its
   /// contact graph through this cache instead of building privately —
   /// byte-identical results either way (see graph::GraphCache). When

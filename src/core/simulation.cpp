@@ -10,14 +10,14 @@ namespace mvsim::core {
 
 Simulation::Simulation(const ScenarioConfig& config, std::uint64_t replication_seed,
                        trace::TraceBuffer* trace, des::EventTimer* event_timer,
-                       des::QueueImpl des_impl, graph::GraphCache* graph_cache)
+                       des::QueueImpl /*des_impl*/, graph::GraphCache* graph_cache)
     : config_(config),
       topology_stream_(rng::derive_seed(replication_seed, kTopologyStream)),
       consent_(response::consent_for_suite(config.responses, config.eventual_acceptance)) {
   config.validate().throw_if_invalid();
   graph_ = resolve_topology(config_, replication_seed, topology_stream_, graph_cache);
   slice_ = std::make_unique<EngineSlice>(config_, *graph_, consent_, replication_seed,
-                                         std::nullopt, des_impl, event_timer, trace);
+                                         std::nullopt, event_timer, trace);
   phones_ = populate(config_, topology_stream_, slices());
 }
 

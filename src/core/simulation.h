@@ -42,10 +42,8 @@ class Simulation final {
   /// Like tracing this is observation-only: timing never draws
   /// randomness or schedules events, so profiled runs are bit-identical
   /// to unprofiled ones.
-  /// `des_impl` selects the scheduler's queue structure (see
-  /// des::QueueImpl); both implementations fire bit-identical event
-  /// orders, so this is a performance A/B escape hatch, not a modeling
-  /// choice.
+  /// `des_impl` is kept for source compatibility: the calendar queue
+  /// (des::QueueImpl::kWheel) is the only queue.
   ///
   /// When `graph_cache` is non-null the contact graph is fetched from
   /// (or built into) it instead of being built privately. The cache

@@ -9,13 +9,8 @@
 //     (FIFO tie-break via a monotone sequence number);
 //   * cancellation is O(1) and never perturbs the order of the rest.
 //
-// Two queue implementations live behind the same contract (see
-// QueueImpl): the calendar queue is the default hot path; the original
-// binary heap with lazy cancellation is kept for one release as an A/B
-// reference (`mvsim run --des-impl heap`) and as the oracle for the
-// randomized differential test in des_test. Both fire bit-identical
-// event orders; they differ only in cost and in *when* a cancelled
-// event's storage is reclaimed (see cancelled_reclaimed_count()).
+// The binary heap this queue replaced survives only as the reference
+// queue of the differential tests in tests/des_test.cpp.
 //
 // Event storage: records live in an EventArena (chunked pool +
 // freelist) and callbacks are EventFn (inline small-buffer storage), so
@@ -24,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "des/calendar_queue.h"
@@ -51,21 +45,20 @@ class EventHandle {
   std::uint64_t generation_ = 0;
 };
 
-/// Which priority-queue structure backs the scheduler.
+/// Which priority-queue structure backs the scheduler. The calendar
+/// queue is the only one; the enum stays because engine constructors
+/// take it.
 enum class QueueImpl : std::uint8_t {
-  kWheel,  ///< calendar queue, eager cancellation (default)
-  kHeap,   ///< binary heap, lazy cancellation (legacy A/B reference)
+  kWheel,  ///< calendar queue, eager cancellation
 };
 
 class Scheduler {
  public:
   using Callback = EventFn;
 
-  explicit Scheduler(QueueImpl impl = QueueImpl::kWheel) : impl_(impl) {}
+  Scheduler() = default;
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
-
-  [[nodiscard]] QueueImpl impl() const { return impl_; }
 
   /// Current simulation time. Starts at zero.
   [[nodiscard]] SimTime now() const { return now_; }
@@ -124,9 +117,8 @@ class Scheduler {
 
   /// Cancel a pending event. Returns true if the event was still
   /// pending; false if it already fired, was already cancelled, or the
-  /// handle is empty. Under the wheel the queue entry and the pooled
-  /// record are reclaimed immediately; the heap reclaims lazily when
-  /// the entry's timestamp pops.
+  /// handle is empty. The queue entry and the pooled record are
+  /// reclaimed immediately.
   bool cancel(EventHandle handle);
 
   /// True if the handle refers to a still-pending event.
@@ -156,9 +148,8 @@ class Scheduler {
 
   /// Cancelled events whose queue entry and pooled record have been
   /// reclaimed (the telemetry report's
-  /// `des.scheduler.cancelled_reclaimed`). The wheel reclaims at
-  /// cancel() time, so this tracks cancelled_count() exactly; the heap
-  /// reclaims lazily, so it lags until the stale entry pops.
+  /// `des.scheduler.cancelled_reclaimed`). Cancellation reclaims
+  /// eagerly, so this tracks cancelled_count().
   [[nodiscard]] std::uint64_t cancelled_reclaimed_count() const { return cancelled_reclaimed_; }
 
   // ---- Allocation introspection (see bench/micro_scheduler.cpp) ----
@@ -172,18 +163,6 @@ class Scheduler {
   [[nodiscard]] std::uint64_t callback_heap_fallback_count() const { return heap_fallbacks_; }
 
  private:
-  struct HeapEntry {
-    SimTime at;
-    std::uint64_t seq;  // FIFO tie-break for equal times
-    std::uint32_t id;
-    std::uint64_t generation;
-    // Min-heap by (at, seq): priority_queue is a max-heap, so invert.
-    friend bool operator<(const HeapEntry& a, const HeapEntry& b) {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-
   // Cold throw paths, kept out of line so the inlined schedule fast
   // path stays small.
   [[noreturn]] void throw_past_deadline(SimTime at) const;
@@ -195,12 +174,7 @@ class Scheduler {
     rec.at = at;
     rec.type = type;
     rec.live = true;
-    const std::uint64_t seq = next_seq_++;
-    if (impl_ == QueueImpl::kWheel) {
-      wheel_.insert(at.to_minutes(), seq, id);
-    } else {
-      heap_.push(HeapEntry{at, seq, id, rec.generation});
-    }
+    wheel_.insert(at.to_minutes(), next_seq_++, id);
     ++live_events_;
     ++scheduled_;
     if (live_events_ > peak_pending_) peak_pending_ = live_events_;
@@ -213,10 +187,8 @@ class Scheduler {
   /// Fires one record in place: invalidates handles, invokes, recycles.
   void fire(EventRecord& rec, std::uint32_t id);
 
-  QueueImpl impl_;
   SimTime now_ = SimTime::zero();
   CalendarQueue wheel_;
-  std::priority_queue<HeapEntry> heap_;
   EventArena arena_;
   std::uint64_t next_seq_ = 0;
   std::size_t live_events_ = 0;

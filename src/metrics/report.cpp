@@ -25,8 +25,8 @@ namespace {
 // documented in docs/observability.md.
 constexpr MetricDescriptor kSchema[] = {
     {"core.bluetooth_push_attempts", MetricKind::kCounter, "attempts", "core",
-     "Bluetooth infection offers made over the proximity channel (dual-vector scenarios; 0 "
-     "when the scenario has no proximity block)."},
+     "Bluetooth infection offers made over the proximity channel (0 when the scenario has no "
+     "proximity block)."},
     {"core.dispatch.events", MetricKind::kCounter, "events", "core",
      "Simulation events fanned out to the response layer by SimulationContext (gateway "
      "submissions/blocks/deliveries, infections, patches, detectability crossings, ticks)."},
@@ -51,8 +51,8 @@ constexpr MetricDescriptor kSchema[] = {
     {"des.queue_depth_peak", MetricKind::kGauge, "events", "des",
      "High-water mark of pending (live) events in the scheduler queue."},
     {"des.scheduler.cancelled_reclaimed", MetricKind::kCounter, "events", "des",
-     "Cancelled events whose queue entry and pooled record were reclaimed (eagerly at cancel "
-     "under the calendar queue; lazily at pop under the legacy heap)."},
+     "Cancelled events whose queue entry and pooled record were reclaimed (eagerly, at "
+     "cancel time)."},
     {"net.infected_messages_submitted", MetricKind::kCounter, "messages", "net",
      "Infected MMS messages submitted to the gateway."},
     {"net.invalid_recipients_dropped", MetricKind::kCounter, "recipients", "net",

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -207,6 +208,50 @@ TEST(ScenarioIo, SharedSeedRoundTrips) {
   json::Value plain_encoded = to_json(plain);
   EXPECT_FALSE(scenario_from_json(plain_encoded).topology.shared_seed.has_value())
       << "unset shared_seed must stay unset through a round trip";
+}
+
+TEST(ScenarioIo, TriggerNoneAndThresholdZeroRoundTrip) {
+  core::ScenarioConfig original = core::bluetooth_worm_scenario();
+  json::Value encoded = to_json(original);
+  const std::string text = json::stringify(encoded, 0);
+  EXPECT_NE(text.find(R"("trigger":"none")"), std::string::npos) << text;
+  EXPECT_NE(text.find(R"("detectability_threshold":0)"), std::string::npos) << text;
+  core::ScenarioConfig round = scenario_from_json(encoded);
+  EXPECT_EQ(round.virus.trigger, virus::SendTrigger::kNone);
+  EXPECT_EQ(round.responses.detectability_threshold, 0u);
+  EXPECT_EQ(json::stringify(to_json(round), 0), text) << "round-trip must be a fixed point";
+}
+
+TEST(ScenarioIo, UnknownTriggerListsEveryChoice) {
+  try {
+    (void)scenario_from_text(R"({"virus": {"trigger": "psychic"}})");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("$.virus.trigger"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("(active | piggyback | none)"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ScenarioIo, ShippedScenarioFilesLoadValidateAndRoundTrip) {
+#ifndef MVSIM_SOURCE_DIR
+  GTEST_SKIP() << "MVSIM_SOURCE_DIR not defined";
+#else
+  int files = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(std::string(MVSIM_SOURCE_DIR) + "/scenarios")) {
+    if (entry.path().extension() != ".json") continue;
+    ++files;
+    const std::string path = entry.path().string();
+    core::ScenarioConfig loaded;
+    ASSERT_NO_THROW(loaded = load_scenario_file(path)) << path;
+    EXPECT_TRUE(loaded.validate().ok()) << path << ": " << loaded.validate().to_string();
+    const std::string text = json::stringify(to_json(loaded), 0);
+    EXPECT_EQ(json::stringify(to_json(scenario_from_json(to_json(loaded))), 0), text)
+        << path << ": JSON round-trip must be a fixed point";
+  }
+  EXPECT_GE(files, 3) << "scenarios/ should ship at least the three documented examples";
+#endif
 }
 
 TEST(ResultsIo, SummaryJsonHasTheHeadlineNumbers) {

@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <queue>
 #include <utility>
 #include <vector>
 
@@ -11,6 +13,89 @@
 
 namespace mvsim::des {
 namespace {
+
+/// The binary heap the calendar queue replaced, kept as the reference
+/// queue of the differential tests: a std::priority_queue over
+/// (time, seq) with lazy cancellation (a cancelled entry stays queued
+/// until it surfaces, and is reclaimed then).
+class ReferenceQueue {
+ public:
+  using Handle = std::size_t;
+
+  Handle schedule_at(SimTime at, std::function<void()> fn) {
+    const Handle id = events_.size();
+    events_.push_back({std::move(fn), true});
+    heap_.push({at, next_seq_++, id});
+    return id;
+  }
+  Handle schedule_after(SimTime delay, std::function<void()> fn) {
+    return schedule_at(now_ + delay, std::move(fn));
+  }
+  /// False when the event already fired or was cancelled.
+  bool cancel(Handle id) {
+    if (!events_[id].live) return false;
+    events_[id] = {nullptr, false};
+    ++cancelled_;
+    return true;
+  }
+  void run_until(SimTime until) {
+    while (fire_next(&until)) {
+    }
+    now_ = until;
+  }
+  void run_to_quiescence() {
+    while (fire_next(nullptr)) {
+    }
+  }
+  [[nodiscard]] SimTime now() const { return now_; }
+  [[nodiscard]] std::uint64_t executed_count() const { return executed_; }
+  [[nodiscard]] std::uint64_t cancelled_count() const { return cancelled_; }
+  [[nodiscard]] std::uint64_t cancelled_reclaimed_count() const { return reclaimed_; }
+
+ private:
+  struct Event {
+    std::function<void()> fn;
+    bool live;
+  };
+  struct Entry {
+    SimTime at;
+    std::uint64_t seq;  // FIFO tie-break for equal times
+    Handle id;
+    // Min-heap by (at, seq): priority_queue is a max-heap, so invert.
+    friend bool operator<(const Entry& a, const Entry& b) {
+      if (a.at != b.at) return a.at > b.at;
+      return a.seq > b.seq;
+    }
+  };
+
+  bool fire_next(const SimTime* limit) {
+    while (!heap_.empty()) {
+      const Entry top = heap_.top();
+      if (!events_[top.id].live) {  // cancelled: discard lazily
+        heap_.pop();
+        ++reclaimed_;
+        continue;
+      }
+      if (limit != nullptr && top.at > *limit) return false;
+      heap_.pop();
+      now_ = top.at;
+      std::function<void()> fn = std::move(events_[top.id].fn);
+      events_[top.id].live = false;
+      ++executed_;
+      fn();  // may schedule, growing events_
+      return true;
+    }
+    return false;
+  }
+
+  SimTime now_ = SimTime::zero();
+  std::priority_queue<Entry> heap_;
+  std::vector<Event> events_;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t executed_ = 0;
+  std::uint64_t cancelled_ = 0;
+  std::uint64_t reclaimed_ = 0;
+};
 
 TEST(Scheduler, StartsAtTimeZero) {
   Scheduler sched;
@@ -205,27 +290,29 @@ TEST(Scheduler, ManyEventsStressOrdering) {
 }
 
 // ---------------------------------------------------------------------------
-// Calendar-queue-specific stress: both implementations must agree with the
-// documented contract (time order, FIFO tie-break, generation-checked
-// cancellation) under workloads that exercise the wheel's slice serving,
-// overflow list, width re-fit, and rotation logic.
+// Calendar-queue-specific stress: the wheel must agree with the documented
+// contract (time order, FIFO tie-break, generation-checked cancellation)
+// and with ReferenceQueue under workloads that exercise the wheel's slice
+// serving, overflow list, width re-fit, and rotation logic.
 
 TEST(Scheduler, SameInstantFifoStormBothImpls) {
-  for (QueueImpl impl : {QueueImpl::kWheel, QueueImpl::kHeap}) {
-    Scheduler sched(impl);
+  auto storm = [](auto& queue) {
     std::vector<int> order;
     order.reserve(5000);
     // A huge same-time cohort lands in one wheel bucket and must come
     // back in exact schedule order despite LIFO bucket chaining.
     for (int i = 0; i < 5000; ++i) {
-      sched.schedule_at(SimTime::minutes(30.0), [&order, i] { order.push_back(i); });
+      queue.schedule_at(SimTime::minutes(30.0), [&order, i] { order.push_back(i); });
     }
-    sched.run_to_quiescence();
-    ASSERT_EQ(order.size(), 5000u);
-    for (int i = 0; i < 5000; ++i) {
-      ASSERT_EQ(order[static_cast<std::size_t>(i)], i) << "impl=" << static_cast<int>(impl);
-    }
-  }
+    queue.run_to_quiescence();
+    return order;
+  };
+  Scheduler wheel;
+  ReferenceQueue heap;
+  const std::vector<int> wheel_order = storm(wheel);
+  ASSERT_EQ(wheel_order.size(), 5000u);
+  for (int i = 0; i < 5000; ++i) ASSERT_EQ(wheel_order[static_cast<std::size_t>(i)], i);
+  EXPECT_EQ(wheel_order, storm(heap));
 }
 
 TEST(Scheduler, FarHorizonEventsSpanManyRotations) {
@@ -273,16 +360,16 @@ TEST(Scheduler, CancelThenRescheduleReusesSlotSafely) {
 }
 
 TEST(Scheduler, RandomizedDifferentialWheelVsHeap) {
-  // Drive both implementations through an identical random mix of
-  // schedules and cancellations; the observable fire sequence (time,
-  // tag) must match element-for-element. This is the strongest
+  // Drive the wheel and the reference heap through an identical random
+  // mix of schedules and cancellations; the observable fire sequence
+  // (time, tag) must match element-for-element. This is the strongest
   // equivalence check we have short of the golden-curve test.
-  Scheduler wheel(QueueImpl::kWheel);
-  Scheduler heap(QueueImpl::kHeap);
+  Scheduler wheel;
+  ReferenceQueue heap;
   std::vector<std::pair<double, int>> wheel_fired;
   std::vector<std::pair<double, int>> heap_fired;
   std::vector<EventHandle> wheel_handles;
-  std::vector<EventHandle> heap_handles;
+  std::vector<ReferenceQueue::Handle> heap_handles;
 
   std::uint64_t state = 0x9e3779b97f4a7c15ULL;
   auto next_rand = [&state] {
@@ -331,12 +418,13 @@ TEST(Scheduler, RandomizedDifferentialWheelVsHeap) {
 
 TEST(Scheduler, CancelledReclaimedEagerOnWheelLazyOnHeap) {
   // The wheel unlinks and recycles a cancelled record immediately; the
-  // heap can only discard it when it surfaces at the top. Same results,
-  // different reclamation timing — that difference is the metric's job.
-  Scheduler wheel(QueueImpl::kWheel);
-  Scheduler heap(QueueImpl::kHeap);
+  // reference heap can only discard it when it surfaces at the top. Same
+  // results, different reclamation timing — that difference is what
+  // des.scheduler.cancelled_reclaimed would show.
+  Scheduler wheel;
+  ReferenceQueue heap;
   std::vector<EventHandle> wh;
-  std::vector<EventHandle> hh;
+  std::vector<ReferenceQueue::Handle> hh;
   for (int i = 0; i < 100; ++i) {
     double t = static_cast<double>(i + 1);
     wh.push_back(wheel.schedule_at(SimTime::minutes(t), [] {}));

@@ -1,10 +1,13 @@
 // Unit + integration tests for src/mobility: grid occupancy, movement,
-// and the Bluetooth worm extension.
+// and the Bluetooth worm extension (the bluetooth-worm scenario on the
+// engine core).
 #include <gtest/gtest.h>
 
 #include <numeric>
 
-#include "mobility/bluetooth.h"
+#include "core/presets.h"
+#include "core/runner.h"
+#include "core/simulation.h"
 #include "mobility/grid.h"
 #include "mobility/movement.h"
 
@@ -97,63 +100,87 @@ TEST(MovementProcess, RejectsNonPositiveDwell) {
                std::invalid_argument);
 }
 
-// ---- Bluetooth worm ----
+// ---- Bluetooth worm (the bluetooth-worm preset on the engine core) ----
 
-BluetoothScenarioConfig small_bluetooth() {
-  BluetoothScenarioConfig config;
+core::ScenarioConfig small_bluetooth() {
+  core::ScenarioConfig config = core::bluetooth_worm_scenario();
   config.population = 200;
-  config.grid_width = 7;
-  config.grid_height = 7;
+  config.topology.mean_degree = 8.0;  // the worm sends no MMS; keep the unused graph small
+  config.proximity->grid_width = 7;
+  config.proximity->grid_height = 7;
   config.horizon = SimTime::days(5.0);
   return config;
 }
 
+core::ExperimentResult run_bluetooth(const core::ScenarioConfig& config, int replications,
+                                     std::uint64_t master_seed) {
+  core::RunnerOptions options;
+  options.replications = replications;
+  options.master_seed = master_seed;
+  return core::run_experiment(config, options);
+}
+
 TEST(BluetoothConfig, DefaultsValidate) {
-  EXPECT_TRUE(BluetoothScenarioConfig{}.validate().ok());
-  EXPECT_DOUBLE_EQ(BluetoothScenarioConfig{}.expected_unrestrained_plateau(), 320.0);
+  core::ScenarioConfig config = core::bluetooth_worm_scenario();
+  EXPECT_TRUE(config.validate().ok());
+  EXPECT_DOUBLE_EQ(config.expected_unrestrained_plateau(), 320.0);
+  EXPECT_EQ(config.virus.trigger, virus::SendTrigger::kNone);
+  EXPECT_EQ(config.responses.detectability_threshold, 0u);
 }
 
 TEST(BluetoothConfig, ValidationCatchesBadFields) {
-  BluetoothScenarioConfig config = small_bluetooth();
-  config.grid_width = 0;
+  core::ScenarioConfig config = small_bluetooth();
+  config.proximity->grid_width = 0;
   EXPECT_FALSE(config.validate().ok());
   config = small_bluetooth();
-  config.scan_interval_mean = SimTime::zero();
+  config.proximity->scan_interval_mean = SimTime::zero();
   EXPECT_FALSE(config.validate().ok());
   config = small_bluetooth();
   config.eventual_acceptance = 0.9;
   EXPECT_FALSE(config.validate().ok());
   config = small_bluetooth();
-  BluetoothImmunizationConfig immunization;
-  immunization.detection_time = SimTime::minutes(-1.0);
-  config.immunization = immunization;
+  response::ImmunizationConfig immunization;
+  immunization.development_time = SimTime::minutes(-1.0);
+  config.responses.immunization = immunization;
   EXPECT_FALSE(config.validate().ok());
 }
 
-TEST(BluetoothSimulation, WormSpreadsThroughProximity) {
-  BluetoothSimulation sim(small_bluetooth(), 77);
-  BluetoothReplicationResult r = sim.run();
+TEST(BluetoothWorm, TriggerNoneNeedsAProximityBlock) {
+  core::ScenarioConfig config = core::bluetooth_worm_scenario();
+  config.proximity.reset();
+  ValidationErrors errors = config.validate();
+  ASSERT_FALSE(errors.ok());
+  EXPECT_NE(errors.to_string().find("trigger 'none'"), std::string::npos) << errors.to_string();
+  EXPECT_NE(errors.to_string().find("proximity"), std::string::npos) << errors.to_string();
+}
+
+TEST(BluetoothWorm, WormSpreadsThroughProximity) {
+  core::Simulation sim(small_bluetooth(), 77);
+  core::ReplicationResult r = sim.run();
   EXPECT_GT(r.total_infected, 10u) << "the worm spreads";
-  EXPECT_GT(r.push_attempts, r.total_infected) << "more offers than acceptances";
+  EXPECT_GT(r.bluetooth_push_attempts, r.total_infected) << "more offers than acceptances";
+  EXPECT_EQ(r.gateway.messages_submitted, 0u) << "no MMS ever reaches a gateway";
   // Plateau bounded by the consent model: 200 x 0.8 x 0.40 = 64.
   EXPECT_LE(r.total_infected, 80u);
 }
 
-TEST(BluetoothSimulation, DeterministicGivenSeed) {
-  BluetoothScenarioConfig config = small_bluetooth();
-  BluetoothReplicationResult a = BluetoothSimulation(config, 42).run();
-  BluetoothReplicationResult b = BluetoothSimulation(config, 42).run();
+TEST(BluetoothWorm, DeterministicGivenSeed) {
+  core::ScenarioConfig config = small_bluetooth();
+  core::ReplicationResult a = core::Simulation(config, 42).run();
+  core::ReplicationResult b = core::Simulation(config, 42).run();
   EXPECT_EQ(a.total_infected, b.total_infected);
-  EXPECT_EQ(a.push_attempts, b.push_attempts);
+  EXPECT_EQ(a.bluetooth_push_attempts, b.bluetooth_push_attempts);
+  EXPECT_EQ(a.metrics.counter_value("des.events_executed"),
+            b.metrics.counter_value("des.events_executed"));
 }
 
-TEST(BluetoothSimulation, SparserWorldSpreadsSlower) {
-  BluetoothScenarioConfig dense = small_bluetooth();  // 7x7: ~4 phones/cell
-  BluetoothScenarioConfig sparse = small_bluetooth();
-  sparse.grid_width = 25;
-  sparse.grid_height = 25;  // 0.32 phones/cell: encounters are rare
-  BluetoothExperimentResult dense_result = run_bluetooth_experiment(dense, 4, 9);
-  BluetoothExperimentResult sparse_result = run_bluetooth_experiment(sparse, 4, 9);
+TEST(BluetoothWorm, SparserWorldSpreadsSlower) {
+  core::ScenarioConfig dense = small_bluetooth();  // 7x7: ~4 phones/cell
+  core::ScenarioConfig sparse = small_bluetooth();
+  sparse.proximity->grid_width = 25;
+  sparse.proximity->grid_height = 25;  // 0.32 phones/cell: encounters are rare
+  core::ExperimentResult dense_result = run_bluetooth(dense, 4, 9);
+  core::ExperimentResult sparse_result = run_bluetooth(sparse, 4, 9);
   // Compare early-growth speed (time to half the consent plateau of
   // 64): the final levels converge once both saturate, but a sparse
   // world takes distinctly longer to get there.
@@ -163,41 +190,38 @@ TEST(BluetoothSimulation, SparserWorldSpreadsSlower) {
       << "proximity spread is density-limited";
 }
 
-TEST(BluetoothSimulation, EducationLowersThePlateau) {
-  BluetoothScenarioConfig config = small_bluetooth();
-  BluetoothExperimentResult base = run_bluetooth_experiment(config, 4, 10);
-  response::UserEducationConfig education;
-  education.eventual_acceptance = 0.10;
-  config.user_education = education;
-  BluetoothExperimentResult educated = run_bluetooth_experiment(config, 4, 10);
+TEST(BluetoothWorm, EducationLowersThePlateau) {
+  core::ScenarioConfig config = small_bluetooth();
+  core::ExperimentResult base = run_bluetooth(config, 4, 10);
+  config.responses.user_education = response::UserEducationConfig{0.10};
+  core::ExperimentResult educated = run_bluetooth(config, 4, 10);
   EXPECT_LT(educated.final_infections.mean(), 0.6 * base.final_infections.mean());
 }
 
-TEST(BluetoothSimulation, ImmunizationStopsTheWorm) {
-  BluetoothScenarioConfig config = small_bluetooth();
-  BluetoothExperimentResult base = run_bluetooth_experiment(config, 4, 11);
-  BluetoothImmunizationConfig immunization;
-  immunization.detection_time = SimTime::hours(6.0);
-  immunization.development_time = SimTime::hours(6.0);
+TEST(BluetoothWorm, ImmunizationStopsTheWorm) {
+  core::ScenarioConfig config = small_bluetooth();
+  core::ExperimentResult base = run_bluetooth(config, 4, 11);
+  // Known at t = 0 (threshold 0): 6 h to notice plus 6 h to build the
+  // patch, then a 1 h rollout.
+  response::ImmunizationConfig immunization;
+  immunization.development_time = SimTime::hours(12.0);
   immunization.deployment_duration = SimTime::hours(1.0);
-  config.immunization = immunization;
-  BluetoothExperimentResult patched = run_bluetooth_experiment(config, 4, 11);
+  config.responses.immunization = immunization;
+  core::ExperimentResult patched = run_bluetooth(config, 4, 11);
   EXPECT_LT(patched.final_infections.mean(), 0.8 * base.final_infections.mean());
   // After the rollout the curve must be flat: compare day 3 to final.
   EXPECT_NEAR(patched.curve.mean_at(SimTime::days(3.0)), patched.curve.final_mean(), 1.0);
-}
-
-TEST(BluetoothSimulation, RunTwiceThrows) {
-  BluetoothSimulation sim(small_bluetooth(), 1);
-  (void)sim.run();
-  EXPECT_THROW((void)sim.run(), std::logic_error);
+  for (const core::ReplicationResult& r : patched.replications) {
+    EXPECT_EQ(r.detected_at, SimTime::zero());
+  }
 }
 
 TEST(BluetoothExperiment, AggregatesReplications) {
-  BluetoothExperimentResult result = run_bluetooth_experiment(small_bluetooth(), 3, 5);
+  core::ExperimentResult result = run_bluetooth(small_bluetooth(), 3, 5);
   EXPECT_EQ(result.curve.replication_count(), 3u);
   EXPECT_EQ(result.final_infections.count(), 3u);
-  EXPECT_THROW((void)run_bluetooth_experiment(small_bluetooth(), 0, 5), std::invalid_argument);
+  EXPECT_GT(result.metrics.counter_value("des.events_executed"), 0u);
+  EXPECT_THROW((void)run_bluetooth(small_bluetooth(), 0, 5), std::invalid_argument);
 }
 
 }  // namespace

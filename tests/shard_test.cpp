@@ -241,6 +241,27 @@ TEST(ShardedSimulation, DetectabilityIsQuantizedToWindowBarriers) {
   EXPECT_NEAR(windows, std::round(windows), 1e-9);
 }
 
+TEST(ShardedSimulation, ThresholdZeroDetectsAtStartSeriallyAndSharded) {
+  // detectability_threshold 0 means "known out-of-band at t = 0": both
+  // engines report the crossing at 0, not at the first gateway
+  // submission or the first window barrier, and mechanisms gated on it
+  // (here a patch rollout 6 h later) run from there.
+  core::ScenarioConfig config = small_scenario();
+  config.responses.detectability_threshold = 0;
+  response::ImmunizationConfig immunization;
+  immunization.development_time = SimTime::hours(6.0);
+  immunization.deployment_duration = SimTime::hours(1.0);
+  config.responses.immunization = immunization;
+
+  core::ReplicationResult serial = core::Simulation(config, 0x5eedULL).run();
+  EXPECT_EQ(serial.detected_at, SimTime::zero());
+  EXPECT_GT(serial.immunized_healthy, 0u);
+
+  core::ReplicationResult sharded = run_sharded(config, 2, 1);
+  EXPECT_EQ(sharded.detected_at, SimTime::zero());
+  EXPECT_GT(sharded.immunized_healthy, 0u);
+}
+
 TEST(ShardedSimulation, SingleShardRunsMatchThemselvesAndInfect) {
   // shards == 1 through the class is legal (the runner routes 1 to the
   // serial engine; the class itself degenerates to one shard and no
