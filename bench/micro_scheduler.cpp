@@ -10,6 +10,10 @@
 //                  the calendar queue vs a binary min-heap (O(log D)
 //                  per pop), with arena, EventFn and dispatch costs
 //                  stripped away, so the gap shows undiluted.
+//   outbreak_hold  the bare calendar queue under the outbreak's shape
+//                  (bench/outbreak_hold.h): a dense 30-60 min near term
+//                  and an 18-30 h reboot tail, grown to the depth of a
+//                  10^5-phone outbreak; its slice counters print below.
 //   cancel_churn   schedule-then-cancel rounds that never fire; the
 //                  wheel unlinks and recycles eagerly.
 //   arena_cycle    the schedule→fire→recycle loop on one long-lived
@@ -18,9 +22,9 @@
 //                  callback spills to the heap after warmup.
 //   rng/*          batched Stream draws vs single-draw engine calls.
 //
-// After the cases run, a calendar-queue-vs-heap table (p50 ratios) is
-// printed on stdout; the per-case numbers land in
-// BENCH_micro_scheduler.json like every other bench.
+// After the cases run, a calendar-queue-vs-heap table (p50 ratios) and
+// the outbreak_hold slice counters are printed on stdout; the per-case
+// numbers land in BENCH_micro_scheduler.json like every other bench.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -30,6 +34,7 @@
 #include <queue>
 
 #include "harness.h"
+#include "outbreak_hold.h"
 #include "des/calendar_queue.h"
 #include "des/scheduler.h"
 #include "rng/stream.h"
@@ -203,6 +208,17 @@ std::uint64_t queue_only_heap(std::uint64_t depth, std::uint64_t ops) {
   return ops + depth;
 }
 
+/// Pending entries the outbreak_hold case grows to (the traced
+/// 10^5-phone outbreak peaks at 30,770) and the pops it runs.
+constexpr std::uint64_t kOutbreakDepth = 30'000;
+constexpr std::uint64_t kOutbreakPops = 1'000'000;
+
+std::uint64_t outbreak_hold_once() {
+  des::CalendarQueue q;
+  g_sink = static_cast<std::uint64_t>(bench_models::outbreak_hold(q, kOutbreakDepth, kOutbreakPops));
+  return kOutbreakPops;
+}
+
 constexpr std::uint64_t kRngDraws = 20'000'000;
 
 /// Stream's buffered path: one bulk engine fill per 64 draws.
@@ -252,6 +268,8 @@ int main() {
     harness.run_case("queue_only/heap" + suffix,
                      [depth, kBareOps] { return queue_only_heap(depth, kBareOps); });
   }
+  harness.run_case("outbreak_hold/wheel/depth_" + std::to_string(kOutbreakDepth),
+                   outbreak_hold_once);
   harness.run_case("cancel_churn/wheel", [] { return cancel_churn(200, 1000); });
   harness.run_case("arena_cycle", arena_cycle);
   harness.run_case("rng/batched", rng_batched);
@@ -271,6 +289,20 @@ int main() {
     double unbatched = case_p50(harness.cases(), "rng/unbatched");
     std::printf("%-28s %12.6f %12.6f %7.2fx\n", "rng (batched vs not)", batched, unbatched,
                 batched > 0.0 ? unbatched / batched : 0.0);
+  }
+
+  {
+    // The work behind the outbreak_hold timings: deterministic, so one
+    // more run reproduces the counters of every timed one.
+    des::CalendarQueue q;
+    g_sink = static_cast<std::uint64_t>(bench_models::outbreak_hold(q, kOutbreakDepth, kOutbreakPops));
+    const auto slices = static_cast<double>(q.slices_served());
+    std::printf("\noutbreak_hold calendar counters: %llu slices served, %.2f entries/slice, "
+                "%llu slice sorts, %llu refits, width %.4g min\n",
+                static_cast<unsigned long long>(q.slices_served()),
+                slices > 0.0 ? static_cast<double>(q.entries_served()) / slices : 0.0,
+                static_cast<unsigned long long>(q.slice_sorts()),
+                static_cast<unsigned long long>(q.refit_count()), q.bucket_width());
   }
 
   harness.write_report();

@@ -62,8 +62,6 @@ EngineSlice::EngineSlice(const ScenarioConfig& config, const graph::ContactGraph
   phone_env_.read_delay_mean = config_.read_delay_mean;
   phone_env_.decision_cutoff = config_.decision_cutoff;
   phone_env_.listener = this;
-
-  processes_.resize(shard_ ? shard_->partition->range(shard_->index).size() : config_.population);
 }
 
 EngineSlice::~EngineSlice() = default;
@@ -103,6 +101,11 @@ void EngineSlice::attach(phone::PhoneTable& phones) {
   build.population = config_.population;
   build.trace = trace_;
   context_->attach(*gateway_, sending_env_, std::move(build));
+  if (config_.virus.trigger != virus::SendTrigger::kNone) {
+    senders_.emplace(sending_env_, config_.virus, first_phone_,
+                     shard_ ? shard_->partition->range(shard_->index).size() : config_.population,
+                     config_.population);
+  }
 
   if (trace_ != nullptr && !shard_) {
     // A sharded crossing is a barrier decision the driver traces itself.
@@ -172,7 +175,7 @@ void EngineSlice::deliver_remote(const net::CrossShardDelivery& d) {
     msg.sender = d.sender;
     msg.sequence = d.sequence;
     msg.infected = d.infected;
-    msg.recipients.push_back({d.recipient, true});
+    msg.set_recipient({d.recipient, true});
     context_->on_delivered(d.recipient, msg, scheduler_.now());
     // The delivery bypassed this gateway, so the GatewayRecorder never
     // saw it; record it here under the ORIGIN shard's message id so the
@@ -215,25 +218,11 @@ void EngineSlice::on_phone_infected(phone::PhoneId id, const phone::InfectionSou
   }
   context_->notify_infection(id, scheduler_.now());
 
-  if (config_.virus.trigger != virus::SendTrigger::kNone) start_sending(id);
+  if (senders_) senders_->start(id, graph_.contacts(id));
   if (proximity_grid_) {
     scheduler_.schedule_after(config_.virus.dormancy, des::EventType::kBluetoothScan,
                               [this, id] { schedule_bluetooth_scan(id); });
   }
-}
-
-void EngineSlice::start_sending(graph::PhoneId id) {
-  std::unique_ptr<virus::Targeter> targeter;
-  if (config_.virus.targeting == virus::TargetingMode::kContactList) {
-    targeter = std::make_unique<virus::ContactListTargeter>(graph_.contacts(id), virus_stream_);
-  } else {
-    targeter = std::make_unique<virus::RandomDialTargeter>(
-        id, config_.population, config_.virus.valid_number_fraction, virus_stream_);
-  }
-  auto& process = processes_[id - first_phone_];
-  process = std::make_unique<virus::SendingProcess>(sending_env_, config_.virus, *phones_, id,
-                                                    std::move(targeter));
-  process->start();
 }
 
 void EngineSlice::on_patch_applied(graph::PhoneId id) {
@@ -252,7 +241,7 @@ void EngineSlice::on_patch_applied(graph::PhoneId id) {
   if (was_infected) {
     ++patched_infected_;
     // Stop immediately, not at the next attempt.
-    if (auto& process = processes_[id - first_phone_]) process->stop();
+    if (senders_) senders_->stop(id);
   } else if (phones_->state(id) == phone::HealthState::kImmunized) {
     ++immunized_healthy_;
   }

@@ -33,7 +33,7 @@
 #include "stats/time_series.h"
 #include "trace/recorder.h"
 #include "trace/trace.h"
-#include "virus/sending_process.h"
+#include "virus/sender_table.h"
 
 namespace mvsim::core {
 
@@ -142,8 +142,6 @@ class EngineSlice final : private net::ShardRouter, private phone::InfectionList
   // phone::InfectionListener: the PhoneTable's exactly-once infection
   // notification, carrying the provenance the trace layer records.
   void on_phone_infected(phone::PhoneId id, const phone::InfectionSource& source) override;
-  /// Starts `id`'s MMS sending process (every trigger but kNone).
-  void start_sending(graph::PhoneId id);
   void on_patch_applied(graph::PhoneId id);
   void build_proximity_channel();
   void schedule_bluetooth_scan(graph::PhoneId id);
@@ -186,9 +184,10 @@ class EngineSlice final : private net::ShardRouter, private phone::InfectionList
   std::unique_ptr<mobility::MobilityGrid> proximity_grid_;
   std::unique_ptr<mobility::MovementProcess> movement_;
 
-  // Indexed by id - first_phone_; declared after the scheduler so the
-  // processes (which cancel their pending events) die first.
-  std::vector<std::unique_ptr<virus::SendingProcess>> processes_;
+  // One row per infected phone (built at attach, every trigger but
+  // kNone); declared after the scheduler so the table, which cancels
+  // its pending events, dies first.
+  std::optional<virus::SenderTable> senders_;
 
   std::vector<SimTime> infection_times_;
   std::uint64_t patched_infected_ = 0;

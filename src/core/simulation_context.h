@@ -25,7 +25,7 @@
 #include "response/mechanism.h"
 #include "response/registry.h"
 #include "response/suite.h"
-#include "virus/sending_process.h"
+#include "virus/sender_table.h"
 
 namespace mvsim::core {
 

@@ -149,6 +149,15 @@ const CalendarQueue::Entry* CalendarQueue::peek_slow() {
   if (cursor_valid_) return &cursor_entry_;
   if (size_ == 0) return nullptr;
   if (calendar_size_ == 0) return scan_overflow();
+  if (refit_due_) {
+    refit_due_ = false;
+    ++refits_;
+    // A refit that left the width about where it was (say, the head
+    // shares one instant) waits twice as long before the next attempt.
+    const double old_width = width_;
+    const bool moved = rebuild(heads_.size()) && std::abs(width_ - old_width) > 0.25 * old_width;
+    refit_window_ = moved ? kRefitWindow : std::min(refit_window_ * 2, kMaxRefitWindow);
+  }
   std::size_t probes = 0;
   for (;;) {
     std::uint32_t* head = &heads_[static_cast<std::size_t>(current_abs_ & mask_)];
@@ -181,13 +190,19 @@ const CalendarQueue::Entry* CalendarQueue::peek_slow() {
       std::reverse(slice_.begin(), slice_.end());
       if (!std::is_sorted(slice_.begin(), slice_.end(), entry_earlier)) {
         std::sort(slice_.begin(), slice_.end(), entry_earlier);
+        ++slice_sorts_;
       }
+      note_slice_served(slice_.size());
+      // The next hunt starts at the following bucket: start loading its
+      // first node while this slice is served.
+      __builtin_prefetch(&pool[heads_[static_cast<std::size_t>((current_abs_ + 1) & mask_)]]);
       slice_active_ = true;
       slice_abs_ = current_abs_;
       slice_pos_ = 0;
       return &slice_[0];
     }
     ++current_abs_;
+    ++window_empty_;
     if (++probes >= heads_.size()) {
       // A full rotation was empty: the pending entries are far in the
       // future. Jump the cursor straight to the earliest occupied
@@ -252,7 +267,50 @@ void CalendarQueue::grow() {
   rebuild(target);
 }
 
-void CalendarQueue::rebuild(std::size_t new_bucket_count) {
+void CalendarQueue::note_slice_served(std::size_t entries) {
+  ++slices_served_;
+  entries_served_ += entries;
+  ++window_slices_;
+  window_entries_ += entries;
+  if (window_slices_ < refit_window_) return;
+  refit_due_ = window_entries_ > kDenseSliceEntries * window_slices_ ||
+               window_empty_ > kSparseSliceGap * window_slices_;
+  window_slices_ = 0;
+  window_entries_ = 0;
+  window_empty_ = 0;
+}
+
+double CalendarQueue::head_sample_width() {
+  // Finite entries first; overflow (+infinity) entries never join the
+  // sample.
+  const auto finite_end = std::partition(rebuild_scratch_.begin(), rebuild_scratch_.end(),
+                                         [](const Entry& e) { return std::isfinite(e.at); });
+  const auto finite = static_cast<std::size_t>(finite_end - rebuild_scratch_.begin());
+  if (finite < 2) return 0.0;
+  const std::size_t sample = std::min(finite, kHeadSample);
+  const auto sample_end = rebuild_scratch_.begin() + static_cast<std::ptrdiff_t>(sample);
+  std::nth_element(rebuild_scratch_.begin(), sample_end - 1, finite_end, entry_earlier);
+  std::sort(rebuild_scratch_.begin(), sample_end, entry_earlier);
+
+  // Brown '88: mean gap over the sample, then the mean again over the
+  // gaps no wider than twice that (so a lone straggler does not widen
+  // the slices), times three.
+  const double span = (sample_end - 1)->at - rebuild_scratch_.front().at;
+  const double mean_gap = span / static_cast<double>(sample - 1);
+  double trimmed = 0.0;
+  std::size_t kept = 0;
+  for (std::size_t i = 1; i < sample; ++i) {
+    const double gap = rebuild_scratch_[i].at - rebuild_scratch_[i - 1].at;
+    if (gap <= 2.0 * mean_gap) {
+      trimmed += gap;
+      ++kept;
+    }
+  }
+  if (kept == 0 || !(trimmed > 0.0)) return 0.0;
+  return 3.0 * trimmed / static_cast<double>(kept);
+}
+
+bool CalendarQueue::rebuild(std::size_t new_bucket_count) {
   ++rebuilds_;
   cursor_valid_ = false;
 
@@ -279,21 +337,12 @@ void CalendarQueue::rebuild(std::size_t new_bucket_count) {
     slice_active_ = false;
   }
 
-  // Re-fit the slice width so the population spreads at roughly two
-  // entries per slice (Brown's heuristic). Only finite times
-  // participate; a degenerate span (a same-instant storm) keeps the
-  // old width.
-  double min_at = std::numeric_limits<double>::infinity();
-  double max_at = -std::numeric_limits<double>::infinity();
-  std::size_t finite = 0;
-  for (const Entry& entry : rebuild_scratch_) {
-    if (!std::isfinite(entry.at)) continue;
-    ++finite;
-    min_at = std::min(min_at, entry.at);
-    max_at = std::max(max_at, entry.at);
-  }
-  if (finite >= 2 && max_at > min_at) {
-    width_ = std::max((max_at - min_at) * 2.0 / static_cast<double>(finite), 1e-9);
+  // Fit the width to the head of the queue; a degenerate sample (fewer
+  // than two finite entries, or a same-instant head) keeps the old one.
+  const double fitted = head_sample_width();
+  const bool refitted = fitted > 0.0;
+  if (refitted) {
+    width_ = std::max(fitted, 1e-9);
     inv_width_ = 1.0 / width_;
   }
 
@@ -311,15 +360,18 @@ void CalendarQueue::rebuild(std::size_t new_bucket_count) {
   overflow_head_ = 0;
   overflow_size_ = 0;
   calendar_size_ = 0;
+  double min_at = std::numeric_limits<double>::infinity();
   for (const Entry& entry : rebuild_scratch_) {
     if (!in_calendar_range(entry.at)) {
       insert_overflow(entry.at, entry.seq, entry.id);
       continue;
     }
+    min_at = std::min(min_at, entry.at);
     link(abs_bucket_of(entry.at), entry.at, entry.seq, entry.id);
     ++calendar_size_;
   }
-  current_abs_ = finite > 0 ? abs_bucket_of(min_at) : 0;
+  current_abs_ = calendar_size_ > 0 ? abs_bucket_of(min_at) : 0;
+  return refitted;
 }
 
 }  // namespace mvsim::des

@@ -32,7 +32,9 @@ namespace mvsim::des {
 /// Opaque handle to a scheduled event; used to cancel it.
 ///
 /// Handles are generation-checked: a handle left over from an event
-/// that already fired (or was cancelled) is safely ignored.
+/// that already fired (or was cancelled) is safely ignored. Eight
+/// bytes, so per-phone state can keep handles cheaply; a stale handle
+/// would only alias a live event after 2^32 reuses of its slot.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -40,9 +42,9 @@ class EventHandle {
 
  private:
   friend class Scheduler;
-  EventHandle(std::uint64_t id, std::uint64_t generation) : id_(id), generation_(generation) {}
-  std::uint64_t id_ = 0;
-  std::uint64_t generation_ = 0;
+  EventHandle(std::uint32_t id, std::uint32_t generation) : id_(id), generation_(generation) {}
+  std::uint32_t id_ = 0;
+  std::uint32_t generation_ = 0;
 };
 
 /// Which priority-queue structure backs the scheduler. The calendar
@@ -161,6 +163,18 @@ class Scheduler {
   /// Callbacks too large for EventFn's inline buffer (each one costs a
   /// heap allocation; in-tree callbacks never hit this).
   [[nodiscard]] std::uint64_t callback_heap_fallback_count() const { return heap_fallbacks_; }
+
+  // ---- Calendar work counters (see CalendarQueue) ----
+
+  /// Non-empty calendar slices served.
+  [[nodiscard]] std::uint64_t slices_served() const { return wheel_.slices_served(); }
+  /// Entries those slices held; entries_served() / slices_served() is
+  /// the mean slice occupancy the width fit aims to keep small.
+  [[nodiscard]] std::uint64_t entries_served() const { return wheel_.entries_served(); }
+  /// Served slices that needed a sort.
+  [[nodiscard]] std::uint64_t slice_sorts() const { return wheel_.slice_sorts(); }
+  /// Width refits triggered by dense or sparse served slices.
+  [[nodiscard]] std::uint64_t queue_refits() const { return wheel_.refit_count(); }
 
  private:
   // Cold throw paths, kept out of line so the inlined schedule fast

@@ -5,8 +5,9 @@
 namespace mvsim::net {
 
 std::size_t MmsMessage::valid_recipient_count() const {
-  return static_cast<std::size_t>(std::count_if(recipients.begin(), recipients.end(),
-                                                [](const DialedRecipient& r) { return r.valid; }));
+  const std::span<const DialedRecipient> list = recipients();
+  return static_cast<std::size_t>(
+      std::count_if(list.begin(), list.end(), [](const DialedRecipient& r) { return r.valid; }));
 }
 
 }  // namespace mvsim::net

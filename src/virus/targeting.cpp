@@ -4,52 +4,47 @@
 
 namespace mvsim::virus {
 
-ContactListTargeter::ContactListTargeter(std::span<const PhoneId> contacts, rng::Stream& stream)
-    : contacts_(contacts.begin(), contacts.end()), stream_(&stream) {
-  stream_->shuffle(std::span<PhoneId>(contacts_));
+ContactListTargeter::ContactListTargeter(std::span<PhoneId> order, rng::Stream& stream)
+    : order_(order.data()), size_(static_cast<std::uint32_t>(order.size())) {
+  stream.shuffle(order);
 }
 
-std::vector<DialedRecipient> ContactListTargeter::next_targets(std::uint32_t count) {
-  std::vector<DialedRecipient> out;
-  if (contacts_.empty()) return out;
+void ContactListTargeter::next_targets(std::uint32_t count, rng::Stream& stream,
+                                       std::vector<DialedRecipient>& out) {
+  out.clear();
   // One message never addresses the same contact twice, so a single
   // message covers at most the whole contact list.
-  std::uint32_t take = count;
-  if (take > contacts_.size()) take = static_cast<std::uint32_t>(contacts_.size());
-  out.reserve(take);
+  const std::uint32_t take = count < size_ ? count : size_;
   for (std::uint32_t i = 0; i < take; ++i) {
-    if (cursor_ == contacts_.size()) {
-      stream_->shuffle(std::span<PhoneId>(contacts_));
+    if (cursor_ == size_) {
+      stream.shuffle(std::span<PhoneId>(order_, size_));
       cursor_ = 0;
     }
-    out.push_back(DialedRecipient{contacts_[cursor_++], true});
+    out.push_back(DialedRecipient{order_[cursor_++], true});
   }
-  return out;
 }
 
-RandomDialTargeter::RandomDialTargeter(PhoneId self, PhoneId population, double valid_fraction,
-                                       rng::Stream& stream)
-    : self_(self), population_(population), valid_fraction_(valid_fraction), stream_(&stream) {
+RandomDialTargeter::RandomDialTargeter(PhoneId population, double valid_fraction)
+    : population_(population), valid_fraction_(valid_fraction) {
   if (population < 2) throw std::invalid_argument("RandomDialTargeter: population must be >= 2");
   if (!(valid_fraction > 0.0) || valid_fraction > 1.0) {
     throw std::invalid_argument("RandomDialTargeter: valid_fraction must be in (0, 1]");
   }
 }
 
-std::vector<DialedRecipient> RandomDialTargeter::next_targets(std::uint32_t count) {
-  std::vector<DialedRecipient> out;
-  out.reserve(count);
+void RandomDialTargeter::next_targets(PhoneId self, std::uint32_t count, rng::Stream& stream,
+                                      std::vector<DialedRecipient>& out) const {
+  out.clear();
   for (std::uint32_t i = 0; i < count; ++i) {
-    if (!stream_->bernoulli(valid_fraction_)) {
+    if (!stream.bernoulli(valid_fraction_)) {
       out.push_back(DialedRecipient{0, false});
       continue;
     }
     // Uniform over live subscribers other than the dialer itself.
-    auto pick = static_cast<PhoneId>(stream_->uniform_index(population_ - 1));
-    if (pick >= self_) ++pick;
+    auto pick = static_cast<PhoneId>(stream.uniform_index(population_ - 1));
+    if (pick >= self) ++pick;
     out.push_back(DialedRecipient{pick, true});
   }
-  return out;
 }
 
 }  // namespace mvsim::virus

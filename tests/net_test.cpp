@@ -2,6 +2,8 @@
 // observer/filter/delivery semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -13,19 +15,38 @@
 namespace mvsim::net {
 namespace {
 
+/// Keeps a recipient list alive for the rest of the test binary: a
+/// message only borrows its list.
+std::vector<DialedRecipient>& keep(std::vector<DialedRecipient> list) {
+  static std::deque<std::vector<DialedRecipient>> kept;
+  return kept.emplace_back(std::move(list));
+}
+
 MmsMessage infected_message(PhoneId sender, std::vector<DialedRecipient> recipients) {
   MmsMessage m;
   m.sender = sender;
-  m.recipients = std::move(recipients);
+  m.set_recipients(keep(std::move(recipients)));
   m.infected = true;
   return m;
 }
 
 TEST(MmsMessage, ValidRecipientCount) {
   MmsMessage m;
-  m.recipients = {{1, true}, {0, false}, {2, true}, {0, false}};
+  m.set_recipients(keep({{1, true}, {0, false}, {2, true}, {0, false}}));
   EXPECT_EQ(m.valid_recipient_count(), 2u);
   EXPECT_EQ(MmsMessage{}.valid_recipient_count(), 0u);
+}
+
+TEST(MmsMessage, OneRecipientIsHeldInline) {
+  std::vector<DialedRecipient> buffer{{7, true}};
+  MmsMessage m;
+  m.set_recipients(buffer);
+  buffer[0] = {8, false};
+  const MmsMessage copy = m;
+  ASSERT_EQ(copy.recipients().size(), 1u);
+  EXPECT_EQ(copy.recipients()[0].phone, 7u) << "a single recipient is copied, not borrowed";
+  EXPECT_TRUE(copy.recipients()[0].valid);
+  EXPECT_NE(copy.recipients().data(), m.recipients().data()) << "each copy owns its recipient";
 }
 
 class RecordingObserver final : public GatewayObserver {
@@ -102,7 +123,7 @@ TEST(Gateway, CountersTrackSubmissionsAndDeliveries) {
   fx.gateway.submit(infected_message(0, {{1, true}, {9, false}}));
   MmsMessage clean;
   clean.sender = 1;
-  clean.recipients = {{2, true}};
+  clean.set_recipient({2, true});
   clean.infected = false;
   fx.gateway.submit(std::move(clean));
   fx.scheduler.run_to_quiescence();
@@ -148,7 +169,7 @@ TEST(Gateway, CleanMessagePassesBlockInfectedFilter) {
   fx.gateway.add_filter(filter);
   MmsMessage clean;
   clean.sender = 0;
-  clean.recipients = {{1, true}};
+  clean.set_recipient({1, true});
   fx.gateway.submit(std::move(clean));
   fx.scheduler.run_to_quiescence();
   EXPECT_EQ(fx.delivered.size(), 1u);
@@ -176,6 +197,26 @@ TEST(Gateway, RejectsNonPositiveDelay) {
   des::Scheduler scheduler;
   rng::Stream stream(6);
   EXPECT_THROW(Gateway(scheduler, stream, SimTime::zero()), std::invalid_argument);
+}
+
+TEST(Gateway, TransitKeepsItsOwnCopyOfARecipientList) {
+  GatewayFixture fx;
+  // The sender reuses one buffer for every message it builds.
+  std::vector<DialedRecipient> buffer{{1, true}, {2, true}, {3, true}};
+  MmsMessage m;
+  m.sender = 0;
+  m.infected = true;
+  m.set_recipients(buffer);
+  fx.gateway.submit(m);
+  buffer.assign({{4, true}, {5, true}});
+  m.set_recipients(buffer);
+  fx.gateway.submit(m);
+  buffer.assign({{9, true}, {9, true}});
+  fx.scheduler.run_to_quiescence();
+  std::vector<PhoneId> got;
+  for (const auto& delivery : fx.delivered) got.push_back(delivery.first);
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, (std::vector<PhoneId>{1, 2, 3, 4, 5}));
 }
 
 TEST(Gateway, ManyMessagesAllDeliveredOnce) {

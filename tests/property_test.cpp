@@ -16,7 +16,7 @@
 #include "net/gateway.h"
 #include "phone/phone.h"
 #include "phone/phone_table.h"
-#include "virus/sending_process.h"
+#include "virus/sender_table.h"
 #include "virus/targeting.h"
 #include "graph/generators.h"
 #include "graph/graph_stats.h"
@@ -218,7 +218,7 @@ TEST_P(VirusBudgetProperty, PerWindowSendsNeverExceedBudget) {
   // Drive a single sending process in isolation and count its messages
   // per aligned 24-hour bucket through a gateway observer.
   des::Scheduler scheduler;
-  rng::Stream virus_stream(777), user_stream(778), net_stream(779);
+  rng::Stream virus_stream(777), net_stream(779);
   net::Gateway gateway(scheduler, net_stream, SimTime::minutes(1.0));
   std::vector<int> per_window(8, 0);
   class WindowCounter final : public net::GatewayObserver {
@@ -232,15 +232,6 @@ TEST_P(VirusBudgetProperty, PerWindowSendsNeverExceedBudget) {
   } counter(per_window);
   gateway.add_observer(counter);
 
-  phone::ConsentModel consent(0.468);
-  phone::PhoneEnvironment phone_env;
-  phone_env.scheduler = &scheduler;
-  phone_env.user_stream = &user_stream;
-  phone_env.consent = &consent;
-  phone::PhoneTable phones(1, &phone_env);
-  phones.set_susceptible(0, true);
-  phones.force_infect(0);
-
   virus::VirusProfile profile = virus::virus1();
   profile.budget = param.kind;
   profile.budget_limit = param.limit == 0 ? 1 : param.limit;
@@ -252,10 +243,8 @@ TEST_P(VirusBudgetProperty, PerWindowSendsNeverExceedBudget) {
   env.virus_stream = &virus_stream;
   env.gateway = &gateway;
   std::vector<net::PhoneId> contacts{1, 2, 3, 4, 5, 6, 7, 8};
-  virus::SendingProcess process(env, profile, phones, 0,
-                                std::make_unique<virus::ContactListTargeter>(
-                                    std::span<const net::PhoneId>(contacts), virus_stream));
-  process.start();
+  virus::SenderTable senders(env, profile, 0, 1, 1);
+  senders.start(0, contacts);
   scheduler.run_until(SimTime::days(6.0));
 
   for (std::size_t day = 0; day < 6; ++day) {

@@ -28,7 +28,7 @@ namespace {
 net::MmsMessage infected(net::PhoneId sender) {
   net::MmsMessage m;
   m.sender = sender;
-  m.recipients = {{sender + 1, true}};
+  m.set_recipient({sender + 1, true});
   m.infected = true;
   return m;
 }
@@ -426,7 +426,7 @@ TEST(Blacklist, InvalidRecipientsStillCount) {
   Blacklist blacklist(config);
   net::MmsMessage m;
   m.sender = 5;
-  m.recipients = {{0, false}};
+  m.set_recipient({0, false});
   m.infected = true;
   SimTime t = SimTime::minutes(1.0);
   blacklist.on_message_submitted(m, t);
@@ -443,10 +443,12 @@ TEST(Blacklist, MultiRecipientMessageCountsOnce) {
   BlacklistConfig config;
   config.message_threshold = 3;
   Blacklist blacklist(config);
+  std::vector<net::DialedRecipient> recipients;
+  for (net::PhoneId i = 0; i < 100; ++i) recipients.push_back({i + 10, true});
   net::MmsMessage burst;
   burst.sender = 5;
   burst.infected = true;
-  for (net::PhoneId i = 0; i < 100; ++i) burst.recipients.push_back({i + 10, true});
+  burst.set_recipients(recipients);
   blacklist.on_message_submitted(burst, SimTime::zero());
   EXPECT_FALSE(blacklist.is_blacklisted(5))
       << "Virus 2's evasion: 100 recipients ride one counted message";

@@ -11,7 +11,7 @@
 #include "phone/phone_table.h"
 #include "rng/stream.h"
 #include "virus/profile.h"
-#include "virus/sending_process.h"
+#include "virus/sender_table.h"
 #include "virus/targeting.h"
 
 namespace mvsim::virus {
@@ -84,9 +84,10 @@ TEST(ContactListTargeter, CoversWholeListBeforeRepeating) {
   rng::Stream stream(11);
   std::vector<net::PhoneId> contacts{1, 2, 3, 4, 5};
   ContactListTargeter targeter(contacts, stream);
+  std::vector<DialedRecipient> t;
   std::set<net::PhoneId> seen;
   for (int i = 0; i < 5; ++i) {
-    auto t = targeter.next_targets(1);
+    targeter.next_targets(1, stream, t);
     ASSERT_EQ(t.size(), 1u);
     EXPECT_TRUE(t[0].valid);
     seen.insert(t[0].phone);
@@ -98,7 +99,8 @@ TEST(ContactListTargeter, BatchNeverExceedsContactList) {
   rng::Stream stream(12);
   std::vector<net::PhoneId> contacts{1, 2, 3};
   ContactListTargeter targeter(contacts, stream);
-  auto t = targeter.next_targets(100);
+  std::vector<DialedRecipient> t;
+  targeter.next_targets(100, stream, t);
   EXPECT_EQ(t.size(), 3u);
   std::set<net::PhoneId> unique;
   for (const auto& r : t) unique.insert(r.phone);
@@ -109,24 +111,28 @@ TEST(ContactListTargeter, CyclesIndefinitely) {
   rng::Stream stream(13);
   std::vector<net::PhoneId> contacts{1, 2};
   ContactListTargeter targeter(contacts, stream);
+  std::vector<DialedRecipient> t;
   for (int i = 0; i < 50; ++i) {
-    auto t = targeter.next_targets(1);
+    targeter.next_targets(1, stream, t);
     ASSERT_EQ(t.size(), 1u);
   }
 }
 
 TEST(ContactListTargeter, EmptyContactListYieldsNothing) {
   rng::Stream stream(14);
-  ContactListTargeter targeter(std::span<const net::PhoneId>{}, stream);
-  EXPECT_TRUE(targeter.next_targets(5).empty());
+  ContactListTargeter targeter(std::span<net::PhoneId>{}, stream);
+  std::vector<DialedRecipient> t{{1, true}};
+  targeter.next_targets(5, stream, t);
+  EXPECT_TRUE(t.empty());
 }
 
 TEST(RandomDialTargeter, ValidFractionRoughlyRespected) {
   rng::Stream stream(15);
-  RandomDialTargeter targeter(0, 1000, 1.0 / 3.0, stream);
+  RandomDialTargeter targeter(1000, 1.0 / 3.0);
   int valid = 0;
   constexpr int kN = 30000;
-  auto targets = targeter.next_targets(kN);
+  std::vector<DialedRecipient> targets;
+  targeter.next_targets(0, kN, stream, targets);
   ASSERT_EQ(targets.size(), static_cast<std::size_t>(kN));
   for (const auto& t : targets) valid += t.valid ? 1 : 0;
   EXPECT_NEAR(static_cast<double>(valid) / kN, 1.0 / 3.0, 0.02);
@@ -134,8 +140,10 @@ TEST(RandomDialTargeter, ValidFractionRoughlyRespected) {
 
 TEST(RandomDialTargeter, NeverDialsSelfValidly) {
   rng::Stream stream(16);
-  RandomDialTargeter targeter(7, 10, 1.0, stream);
-  for (const auto& t : targeter.next_targets(5000)) {
+  RandomDialTargeter targeter(10, 1.0);
+  std::vector<DialedRecipient> targets;
+  targeter.next_targets(7, 5000, stream, targets);
+  for (const auto& t : targets) {
     ASSERT_TRUE(t.valid);
     ASSERT_NE(t.phone, 7u);
     ASSERT_LT(t.phone, 10u);
@@ -143,13 +151,14 @@ TEST(RandomDialTargeter, NeverDialsSelfValidly) {
 }
 
 TEST(RandomDialTargeter, RejectsBadParameters) {
-  rng::Stream stream(17);
-  EXPECT_THROW(RandomDialTargeter(0, 1, 0.5, stream), std::invalid_argument);
-  EXPECT_THROW(RandomDialTargeter(0, 10, 0.0, stream), std::invalid_argument);
-  EXPECT_THROW(RandomDialTargeter(0, 10, 1.5, stream), std::invalid_argument);
+  EXPECT_THROW(RandomDialTargeter(1, 0.5), std::invalid_argument);
+  EXPECT_THROW(RandomDialTargeter(10, 0.0), std::invalid_argument);
+  EXPECT_THROW(RandomDialTargeter(10, 1.5), std::invalid_argument);
 }
 
-// ---- SendingProcess ----
+// ---- SenderTable (the paper's per-phone sending process) ----
+
+using Contacts = std::vector<net::PhoneId>;
 
 class GapPolicy final : public net::OutgoingMmsPolicy {
  public:
@@ -183,10 +192,6 @@ struct SendingFixture {
     env.gateway = &gateway;
     env.policies = {&policy};
   }
-
-  std::unique_ptr<Targeter> contact_targeter(std::vector<net::PhoneId> contacts) {
-    return std::make_unique<ContactListTargeter>(contacts, virus_stream);
-  }
 };
 
 TEST(SendingProcess, SendsImmediatelyAndRespectsMinGap) {
@@ -194,11 +199,11 @@ TEST(SendingProcess, SendsImmediatelyAndRespectsMinGap) {
   VirusProfile p = virus1();
   p.extra_gap_mean = SimTime::zero();  // exact cadence for the assertion
   fx.phones->force_infect(0);
-  SendingProcess process(fx.env, p, *fx.phones, 0, fx.contact_targeter({1, 2, 3}));
-  process.start();
+  SenderTable senders(fx.env, p, 0, 1, 1);
+  senders.start(0, Contacts{1, 2, 3});
   fx.scheduler.run_until(SimTime::minutes(89.0));
   // Sends at t=0, 30, 60 — the t=90 send hasn't happened yet.
-  EXPECT_EQ(process.messages_sent(), 3u);
+  EXPECT_EQ(senders.messages_sent(0), 3u);
 }
 
 TEST(SendingProcess, PerRebootBudgetPausesUntilReboot) {
@@ -207,14 +212,14 @@ TEST(SendingProcess, PerRebootBudgetPausesUntilReboot) {
   p.extra_gap_mean = SimTime::zero();
   p.budget_limit = 3;
   fx.phones->force_infect(0);
-  SendingProcess process(fx.env, p, *fx.phones, 0, fx.contact_targeter({1, 2, 3, 4}));
-  process.start();
+  SenderTable senders(fx.env, p, 0, 1, 1);
+  senders.start(0, Contacts{1, 2, 3, 4});
   fx.scheduler.run_until(SimTime::hours(8.0));
   // Budget 3 per reboot; reboot intervals are uniform in [18 h, 30 h],
   // so by 8 h the process has sent exactly its first allotment.
-  EXPECT_EQ(process.messages_sent(), 3u);
+  EXPECT_EQ(senders.messages_sent(0), 3u);
   fx.scheduler.run_until(SimTime::hours(40.0));
-  EXPECT_GE(process.messages_sent(), 6u) << "the first reboot refilled the budget";
+  EXPECT_GE(senders.messages_sent(0), 6u) << "the first reboot refilled the budget";
 }
 
 TEST(SendingProcess, OnePassPerWindowCoversListOncePerDay) {
@@ -228,7 +233,7 @@ TEST(SendingProcess, OnePassPerWindowCoversListOncePerDay) {
    public:
     explicit CopyCounter(std::uint64_t& out) : out_(&out) {}
     void on_submitted(const net::MmsMessage& m, SimTime) override {
-      *out_ += m.recipients.size();
+      *out_ += m.recipients().size();
     }
     std::uint64_t* out_;
   } counter(recipient_copies);
@@ -236,14 +241,14 @@ TEST(SendingProcess, OnePassPerWindowCoversListOncePerDay) {
 
   std::vector<net::PhoneId> contacts(80);
   for (net::PhoneId i = 0; i < 80; ++i) contacts[i] = i + 1;
-  SendingProcess process(fx.env, p, *fx.phones, 0, fx.contact_targeter(contacts));
-  process.start();
+  SenderTable senders(fx.env, p, 0, 1, 1);
+  senders.start(0, contacts);
 
   fx.scheduler.run_until(SimTime::hours(23.9));
   // The pass over 80 contacts rides the full 30-message budget: ~3
   // recipients per message, all sent near the start of the period.
-  EXPECT_GE(process.messages_sent(), 27u);
-  EXPECT_LE(process.messages_sent(), 30u);
+  EXPECT_GE(senders.messages_sent(0), 27u);
+  EXPECT_LE(senders.messages_sent(0), 30u);
   EXPECT_EQ(recipient_copies, 80u) << "each contact addressed exactly once on day 0";
   fx.scheduler.run_until(SimTime::hours(47.9));
   EXPECT_EQ(recipient_copies, 160u) << "exactly one more pass on day 1";
@@ -255,12 +260,12 @@ TEST(SendingProcess, OnePassPerWindowWithSmallBudgetStopsAtListEnd) {
   p.budget_limit = 3;  // pass spread over 3 messages: 3 + 3 + 1 contacts
   p.extra_gap_mean = SimTime::zero();
   fx.phones->force_infect(0);
-  SendingProcess process(fx.env, p, *fx.phones, 0, fx.contact_targeter({1, 2, 3, 4, 5, 6, 7}));
-  process.start();
+  SenderTable senders(fx.env, p, 0, 1, 1);
+  senders.start(0, Contacts{1, 2, 3, 4, 5, 6, 7});
   fx.scheduler.run_until(SimTime::hours(12.0));
-  EXPECT_EQ(process.messages_sent(), 3u);
+  EXPECT_EQ(senders.messages_sent(0), 3u);
   fx.scheduler.run_until(SimTime::hours(26.0));
-  EXPECT_EQ(process.messages_sent(), 6u) << "next pass after the period boundary";
+  EXPECT_EQ(senders.messages_sent(0), 6u) << "next pass after the period boundary";
 }
 
 TEST(SendingProcess, PerDayAlignedBudgetResetsAtBoundary) {
@@ -271,12 +276,12 @@ TEST(SendingProcess, PerDayAlignedBudgetResetsAtBoundary) {
   p.one_pass_per_window = false;  // budget semantics under test, not pass capping
   p.extra_gap_mean = SimTime::zero();
   fx.phones->force_infect(0);
-  SendingProcess process(fx.env, p, *fx.phones, 0, fx.contact_targeter({1, 2, 3}));
-  process.start();
+  SenderTable senders(fx.env, p, 0, 1, 1);
+  senders.start(0, Contacts{1, 2, 3});
   fx.scheduler.run_until(SimTime::hours(23.0));
-  EXPECT_EQ(process.messages_sent(), 5u) << "first day's allotment only";
+  EXPECT_EQ(senders.messages_sent(0), 5u) << "first day's allotment only";
   fx.scheduler.run_until(SimTime::hours(25.0));
-  EXPECT_EQ(process.messages_sent(), 10u) << "second allotment right after midnight";
+  EXPECT_EQ(senders.messages_sent(0), 10u) << "second allotment right after midnight";
 }
 
 TEST(SendingProcess, AlignFirstBurstHoldsUntilBoundary) {
@@ -289,12 +294,12 @@ TEST(SendingProcess, AlignFirstBurstHoldsUntilBoundary) {
   // Infect mid-day: the first burst must wait for the next boundary.
   fx.scheduler.schedule_at(SimTime::hours(10.0), [&] { fx.phones->force_infect(0); });
   fx.scheduler.run_until(SimTime::hours(10.0));
-  SendingProcess process(fx.env, p, *fx.phones, 0, fx.contact_targeter({1, 2, 3}));
-  process.start();
+  SenderTable senders(fx.env, p, 0, 1, 1);
+  senders.start(0, Contacts{1, 2, 3});
   fx.scheduler.run_until(SimTime::hours(23.9));
-  EXPECT_EQ(process.messages_sent(), 0u);
+  EXPECT_EQ(senders.messages_sent(0), 0u);
   fx.scheduler.run_until(SimTime::hours(24.5));
-  EXPECT_EQ(process.messages_sent(), 5u);
+  EXPECT_EQ(senders.messages_sent(0), 5u);
 }
 
 TEST(SendingProcess, UnalignedStartSendsImmediately) {
@@ -307,10 +312,10 @@ TEST(SendingProcess, UnalignedStartSendsImmediately) {
   p.extra_gap_mean = SimTime::zero();
   fx.scheduler.schedule_at(SimTime::hours(10.0), [&] { fx.phones->force_infect(0); });
   fx.scheduler.run_until(SimTime::hours(10.0));
-  SendingProcess process(fx.env, p, *fx.phones, 0, fx.contact_targeter({1, 2, 3}));
-  process.start();
+  SenderTable senders(fx.env, p, 0, 1, 1);
+  senders.start(0, Contacts{1, 2, 3});
   fx.scheduler.run_until(SimTime::hours(11.0));
-  EXPECT_EQ(process.messages_sent(), 5u);
+  EXPECT_EQ(senders.messages_sent(0), 5u);
 }
 
 TEST(SendingProcess, BlockedPolicyStopsPermanently) {
@@ -318,11 +323,11 @@ TEST(SendingProcess, BlockedPolicyStopsPermanently) {
   fx.policy.blocked = true;
   VirusProfile p = virus1();
   fx.phones->force_infect(0);
-  SendingProcess process(fx.env, p, *fx.phones, 0, fx.contact_targeter({1, 2}));
-  process.start();
+  SenderTable senders(fx.env, p, 0, 1, 1);
+  senders.start(0, Contacts{1, 2});
   fx.scheduler.run_until(SimTime::days(2.0));
-  EXPECT_EQ(process.messages_sent(), 0u);
-  EXPECT_FALSE(process.running());
+  EXPECT_EQ(senders.messages_sent(0), 0u);
+  EXPECT_FALSE(senders.running(0));
 }
 
 TEST(SendingProcess, ForcedGapSlowsCadence) {
@@ -331,11 +336,11 @@ TEST(SendingProcess, ForcedGapSlowsCadence) {
   VirusProfile p = virus1();
   p.extra_gap_mean = SimTime::zero();
   fx.phones->force_infect(0);
-  SendingProcess process(fx.env, p, *fx.phones, 0, fx.contact_targeter({1, 2, 3}));
-  process.start();
+  SenderTable senders(fx.env, p, 0, 1, 1);
+  senders.start(0, Contacts{1, 2, 3});
   fx.scheduler.run_until(SimTime::minutes(239.0));
   // 2 h forced gap dominates the 30 min virus gap: sends at 0 and 120.
-  EXPECT_EQ(process.messages_sent(), 2u);
+  EXPECT_EQ(senders.messages_sent(0), 2u);
 }
 
 TEST(SendingProcess, PatchStopsAtNextAttempt) {
@@ -343,26 +348,31 @@ TEST(SendingProcess, PatchStopsAtNextAttempt) {
   VirusProfile p = virus1();
   p.extra_gap_mean = SimTime::zero();
   fx.phones->force_infect(0);
-  SendingProcess process(fx.env, p, *fx.phones, 0, fx.contact_targeter({1, 2}));
-  process.start();
-  fx.scheduler.schedule_at(SimTime::minutes(45.0), [&] { fx.phones->apply_patch(0); });
+  SenderTable senders(fx.env, p, 0, 1, 1);
+  senders.start(0, Contacts{1, 2});
+  // The patch path stops the phone's sender, as EngineSlice does when
+  // a patch lands on an infected phone.
+  fx.scheduler.schedule_at(SimTime::minutes(45.0), [&] {
+    fx.phones->apply_patch(0);
+    senders.stop(0);
+  });
   fx.scheduler.run_until(SimTime::days(1.0));
-  EXPECT_EQ(process.messages_sent(), 2u) << "t=0 and t=30 only; patched before t=60";
-  EXPECT_FALSE(process.running());
+  EXPECT_EQ(senders.messages_sent(0), 2u) << "t=0 and t=30 only; patched before t=60";
+  EXPECT_FALSE(senders.running(0));
 }
 
 TEST(SendingProcess, PiggybackWaitsForDormancyAndLegitTraffic) {
   SendingFixture fx;
   VirusProfile p = virus4();
   fx.phones->force_infect(0);
-  SendingProcess process(fx.env, p, *fx.phones, 0, fx.contact_targeter({1, 2, 3}));
-  process.start();
+  SenderTable senders(fx.env, p, 0, 1, 1);
+  senders.start(0, Contacts{1, 2, 3});
   fx.scheduler.run_until(SimTime::hours(1.0));
-  EXPECT_EQ(process.messages_sent(), 0u) << "dormant for the first hour";
+  EXPECT_EQ(senders.messages_sent(0), 0u) << "dormant for the first hour";
   fx.scheduler.run_until(SimTime::days(2.0));
-  EXPECT_GT(process.messages_sent(), 5u);
+  EXPECT_GT(senders.messages_sent(0), 5u);
   // Mean legit gap is 2 h => roughly 12/day; allow a wide band.
-  EXPECT_LT(process.messages_sent(), 40u);
+  EXPECT_LT(senders.messages_sent(0), 40u);
 }
 
 TEST(SendingProcess, PiggybackHonorsMinGap) {
@@ -372,47 +382,46 @@ TEST(SendingProcess, PiggybackHonorsMinGap) {
   p.legit_traffic_gap_mean = SimTime::minutes(1.0);  // chatty user
   p.min_message_gap = SimTime::minutes(30.0);
   fx.phones->force_infect(0);
-  SendingProcess process(fx.env, p, *fx.phones, 0, fx.contact_targeter({1, 2, 3}));
-  process.start();
+  SenderTable senders(fx.env, p, 0, 1, 1);
+  senders.start(0, Contacts{1, 2, 3});
   fx.scheduler.run_until(SimTime::hours(10.0));
   // Despite ~600 legit events, the 30-min gap caps sends at ~20.
-  EXPECT_LE(process.messages_sent(), 21u);
-  EXPECT_GE(process.messages_sent(), 15u);
+  EXPECT_LE(senders.messages_sent(0), 21u);
+  EXPECT_GE(senders.messages_sent(0), 15u);
 }
 
 TEST(SendingProcess, StopCancelsFutureSends) {
   SendingFixture fx;
   VirusProfile p = virus3();
   fx.phones->force_infect(0);
-  auto targeter = std::make_unique<RandomDialTargeter>(0, 100, 1.0 / 3.0, fx.virus_stream);
-  SendingProcess process(fx.env, p, *fx.phones, 0, std::move(targeter));
-  process.start();
+  SenderTable senders(fx.env, p, 0, 1, 100);
+  senders.start(0, {});
   fx.scheduler.run_until(SimTime::minutes(30.0));
-  auto sent_before = process.messages_sent();
+  auto sent_before = senders.messages_sent(0);
   EXPECT_GT(sent_before, 10u);
-  process.stop();
+  senders.stop(0);
   fx.scheduler.run_until(SimTime::hours(5.0));
-  EXPECT_EQ(process.messages_sent(), sent_before);
+  EXPECT_EQ(senders.messages_sent(0), sent_before);
 }
 
 TEST(SendingProcess, EmptyContactListStopsQuietly) {
   SendingFixture fx;
   VirusProfile p = virus1();
   fx.phones->force_infect(0);
-  SendingProcess process(fx.env, p, *fx.phones, 0, fx.contact_targeter({}));
-  process.start();
+  SenderTable senders(fx.env, p, 0, 1, 1);
+  senders.start(0, Contacts{});
   fx.scheduler.run_until(SimTime::days(1.0));
-  EXPECT_EQ(process.messages_sent(), 0u);
-  EXPECT_FALSE(process.running());
+  EXPECT_EQ(senders.messages_sent(0), 0u);
+  EXPECT_FALSE(senders.running(0));
 }
 
 TEST(SendingProcess, StartTwiceThrows) {
   SendingFixture fx;
   VirusProfile p = virus1();
   fx.phones->force_infect(0);
-  SendingProcess process(fx.env, p, *fx.phones, 0, fx.contact_targeter({1}));
-  process.start();
-  EXPECT_THROW(process.start(), std::logic_error);
+  SenderTable senders(fx.env, p, 0, 1, 1);
+  senders.start(0, Contacts{1});
+  EXPECT_THROW(senders.start(0, Contacts{1}), std::logic_error);
 }
 
 TEST(SendingProcess, Virus2MessageCarriesWholeContactList) {
@@ -423,7 +432,7 @@ TEST(SendingProcess, Virus2MessageCarriesWholeContactList) {
    public:
     explicit CountObserver(std::size_t& out) : out_(&out) {}
     void on_submitted(const net::MmsMessage& m, SimTime) override {
-      *out_ = std::max(*out_, m.recipients.size());
+      *out_ = std::max(*out_, m.recipients().size());
     }
     std::size_t* out_;
   } observer(largest_recipient_list);
@@ -435,8 +444,8 @@ TEST(SendingProcess, Virus2MessageCarriesWholeContactList) {
   fx.phones->force_infect(0);
   std::vector<net::PhoneId> contacts(80);
   for (net::PhoneId i = 0; i < 80; ++i) contacts[i] = i + 1;
-  SendingProcess process(fx.env, p, *fx.phones, 0, fx.contact_targeter(contacts));
-  process.start();
+  SenderTable senders(fx.env, p, 0, 1, 1);
+  senders.start(0, contacts);
   fx.scheduler.run_until(SimTime::hours(1.0));
   EXPECT_EQ(largest_recipient_list, 80u)
       << "up to 100 recipients per message covers the whole 80-contact list";
