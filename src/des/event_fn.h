@@ -20,14 +20,15 @@ namespace mvsim::des {
 
 class EventFn {
  public:
-  /// Inline capture budget. 64 bytes covers every in-tree callback,
-  /// including a gateway delivery capturing an MmsMessage by value.
-  static constexpr std::size_t kInlineCapacity = 64;
+  /// Inline capture budget. 40 bytes covers every in-tree callback,
+  /// including a gateway delivery capturing an MmsMessage by value, and
+  /// keeps a whole event record (EventRecord) in one 64-byte line.
+  static constexpr std::size_t kInlineCapacity = 40;
 
   /// True when a decayed callable type is stored inline (no heap box).
   template <typename D>
   static constexpr bool fits_inline = sizeof(D) <= kInlineCapacity &&
-                                      alignof(D) <= alignof(std::max_align_t) &&
+                                      alignof(D) <= alignof(void*) &&
                                       std::is_nothrow_move_constructible_v<D>;
 
   EventFn() noexcept = default;
@@ -155,7 +156,7 @@ class EventFn {
     }
   }
 
-  alignas(std::max_align_t) unsigned char storage_[kInlineCapacity];
+  alignas(void*) unsigned char storage_[kInlineCapacity];
   const VTable* vtable_ = nullptr;
 };
 
