@@ -6,7 +6,7 @@
 // unpatched phone. That receive/decide state machine lives in
 // phone::PhoneTable (phone/phone_table.h) as a struct-of-arrays over
 // the whole population; the "sending" half of an infected phone lives
-// in virus::SendingProcess — the split mirrors the paper's description
+// in virus::SenderTable — the split mirrors the paper's description
 // of the phone submodel as separate receive and send functionalities.
 // This header holds the shared vocabulary: health states, infection
 // provenance, and the per-replication environment.

@@ -78,8 +78,9 @@ class PhoneTable {
   void receive_infected_message(PhoneId id, InfectionSource source = {});
 
   /// Immunization patch arrives (paper §3.2). Healthy -> kImmunized;
-  /// infected phones stay infected but `propagation_stopped()` flips,
-  /// which the sending process observes. Idempotent.
+  /// infected phones stay infected but `propagation_stopped()` flips;
+  /// whoever applies the patch also stops the phone's sender
+  /// (EngineSlice::on_patch_applied). Idempotent.
   void apply_patch(PhoneId id);
 
   /// Directly infect (used to seed patient zero, and by tests).

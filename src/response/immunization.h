@@ -6,8 +6,8 @@
 // susceptible population uniformly over `deployment_duration` (more
 // distribution servers = shorter duration). A patch arriving at a
 // healthy phone immunizes it; arriving at an infected phone it stops
-// further dissemination (the SendingProcess observes
-// Phone::propagation_stopped()).
+// further dissemination (the engine stops the phone's SenderTable row
+// when the patch lands).
 #pragma once
 
 #include <cstdint>

@@ -146,7 +146,7 @@ class ResponseMechanism {
   /// registered on the gateway in mechanism order.
   [[nodiscard]] virtual net::DeliveryFilter* as_delivery_filter() { return nullptr; }
   /// Non-null when the mechanism constrains sending phones; consulted
-  /// by every SendingProcess in mechanism order.
+  /// by the SenderTable before every send, in mechanism order.
   [[nodiscard]] virtual net::OutgoingMmsPolicy* as_outgoing_policy() { return nullptr; }
 
   /// Add this mechanism's counters to the replication result.

@@ -11,7 +11,7 @@
 //
 // Implementation note: the quota is enforced through the
 // OutgoingMmsPolicy forced-gap channel rather than is_blocked().
-// SendingProcess treats is_blocked as a permanent service cut
+// The SenderTable treats is_blocked as a permanent service cut
 // (blacklist semantics) and stops for good; a forced gap that lasts
 // exactly until the next window boundary models a temporary hold.
 #pragma once
