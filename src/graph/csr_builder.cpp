@@ -36,7 +36,7 @@ void CsrBuilder::begin_fill() {
     throw std::length_error("CsrBuilder: adjacency exceeds 32-bit offset range");
   }
   for (std::size_t i = 1; i < offsets_.size(); ++i) offsets_[i] += offsets_[i - 1];
-  adjacency_.resize(static_cast<std::size_t>(2 * edge_count_));
+  fill_.resize(static_cast<std::size_t>(2 * edge_count_));
   cursor_.assign(offsets_.begin(), offsets_.end() - 1);
 }
 
@@ -48,11 +48,11 @@ void CsrBuilder::fill_edge(PhoneId a, PhoneId b) {
   if (slot_a >= offsets_[a + 1ULL] || slot_b >= offsets_[b + 1ULL]) {
     throw std::logic_error("CsrBuilder: fill sequence does not match count sequence");
   }
-  adjacency_[slot_a] = b;
-  adjacency_[slot_b] = a;
+  fill_[slot_a] = b;
+  fill_[slot_b] = a;
 }
 
-ContactGraph CsrBuilder::finish() && {
+ContactGraph CsrBuilder::finish(std::vector<PhoneId> target) && {
   if (!filling_) {
     // A graph counted but never filled is only valid when empty.
     begin_fill();
@@ -61,15 +61,33 @@ ContactGraph CsrBuilder::finish() && {
     if (cursor_[p] != offsets_[p + 1ULL]) {
       throw std::logic_error("CsrBuilder: fill sequence does not match count sequence");
     }
-    auto begin = adjacency_.begin() + static_cast<std::ptrdiff_t>(offsets_[p]);
-    auto end = adjacency_.begin() + static_cast<std::ptrdiff_t>(offsets_[p + 1ULL]);
-    std::sort(begin, end);
-    if (std::adjacent_find(begin, end) != end) {
-      throw std::invalid_argument("ContactGraph: duplicate edge at phone " + std::to_string(p));
+  }
+  // Transpose: walk the filled lists in ascending source order and
+  // append each source to its neighbours' lists, so every list comes
+  // out sorted. Fill placed both ends of every edge, so list q receives
+  // exactly deg(q) sources and the offsets carry over. The two copies
+  // of a duplicate edge land next to each other in the target list.
+  target.resize(fill_.size());
+  cursor_.assign(offsets_.begin(), offsets_.end() - 1);
+  for (PhoneId p = 0; p < node_count_; ++p) {
+    for (std::uint32_t i = offsets_[p]; i < offsets_[p + 1ULL]; ++i) {
+      const PhoneId q = fill_[i];
+      const std::uint32_t slot = cursor_[q]++;
+      if (slot != offsets_[q] && target[slot - 1] == p) {
+        throw std::invalid_argument("ContactGraph: duplicate edge at phone " + std::to_string(p));
+      }
+      target[slot] = p;
     }
   }
+  if (target.capacity() != target.size()) {
+    // A spent buffer with spare room would keep it for the graph's
+    // lifetime; the fill array has the exact size, so move back there.
+    std::copy(target.begin(), target.end(), fill_.begin());
+    target.swap(fill_);
+  }
+  fill_ = {};
   cursor_ = {};
-  return ContactGraph(std::move(offsets_), std::move(adjacency_));
+  return ContactGraph(std::move(offsets_), std::move(target));
 }
 
 }  // namespace mvsim::graph

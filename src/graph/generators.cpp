@@ -14,56 +14,93 @@ namespace mvsim::graph {
 
 namespace {
 
-/// Packs an undirected edge into one normalized key for duplicate
-/// detection.
-std::uint64_t edge_key(PhoneId a, PhoneId b) {
-  if (a > b) std::swap(a, b);
-  return (static_cast<std::uint64_t>(a) << 32) | b;
-}
-
-/// Open-addressing membership set for normalized edge keys.
+/// Membership set of undirected edges, in one of two layouts picked
+/// from the input size: an n×n bit matrix (bit a*n+b for a < b) when
+/// that matrix is no larger than the hash table sized for `expected`
+/// edges, else an open-addressing hash table of packed edge keys. At
+/// the paper's 1000 phones the matrix is 125 KB against a 1 MB table;
+/// at 10^5 phones the table stays (the matrix would be 1.25 GB).
 ///
 /// std::unordered_set costs ~40 bytes per edge (node allocation +
-/// bucket pointer); this flat table costs 8 bytes per slot at ~60%
-/// peak load. Two keys can never occur as real edges — 0 is the
-/// self-loop (0,0) and 2^64-1 the self-loop (max,max), both rejected
-/// before insertion — so they serve as the empty and tombstone
-/// markers and no separate occupancy bitmap is needed.
+/// bucket pointer); the flat table costs 8 bytes per slot at ~60% peak
+/// load. Two keys can never occur as real edges — 0 is the self-loop
+/// (0,0) and 2^64-1 the self-loop (max,max), both rejected before
+/// insertion — so they serve as the empty and tombstone markers and no
+/// separate occupancy bitmap is needed.
 class FlatEdgeSet {
  public:
-  explicit FlatEdgeSet(std::size_t expected) { rehash(slots_for(expected)); }
+  FlatEdgeSet(PhoneId node_count, std::size_t expected) {
+    const std::size_t table_slots = slots_for(expected);
+    // PhoneId is 32-bit, so n*n fits in 64 bits.
+    const std::uint64_t matrix_words = (std::uint64_t{node_count} * node_count + 63) / 64;
+    if (matrix_words <= table_slots) {
+      matrix_n_ = node_count;
+      words_.assign(static_cast<std::size_t>(matrix_words), 0);
+    } else {
+      rehash(table_slots);
+    }
+  }
 
-  bool insert(std::uint64_t key) {
-    if (used_ + 1 > (slots_.size() * 3) / 5) rehash(slots_.size() * 2);
+  /// Adds the edge {a, b} (a != b); false if it was already present.
+  bool insert(PhoneId a, PhoneId b) {
+    if (matrix_n_ != 0) {
+      const auto [word, mask] = matrix_slot(a, b);
+      if ((words_[word] & mask) != 0) return false;
+      words_[word] |= mask;
+      return true;
+    }
+    if (used_ + 1 > (words_.size() * 3) / 5) rehash(words_.size() * 2);
+    const std::uint64_t key = edge_key(a, b);
     std::size_t i = probe(key);
-    if (slots_[i] == key) return false;
-    if (slots_[i] == kEmpty) ++used_;  // reusing a tombstone keeps used_
-    slots_[i] = key;
-    ++size_;
+    if (words_[i] == key) return false;
+    if (words_[i] == kEmpty) ++used_;  // reusing a tombstone keeps used_
+    words_[i] = key;
     return true;
   }
 
-  [[nodiscard]] bool contains(std::uint64_t key) const { return slots_[probe(key)] == key; }
-
-  void erase(std::uint64_t key) {
-    std::size_t i = probe(key);
-    if (slots_[i] != key) return;
-    slots_[i] = kTombstone;
-    --size_;
+  [[nodiscard]] bool contains(PhoneId a, PhoneId b) const {
+    if (matrix_n_ != 0) {
+      const auto [word, mask] = matrix_slot(a, b);
+      return (words_[word] & mask) != 0;
+    }
+    const std::uint64_t key = edge_key(a, b);
+    return words_[probe(key)] == key;
   }
 
-  [[nodiscard]] std::size_t size() const { return size_; }
+  void erase(PhoneId a, PhoneId b) {
+    if (matrix_n_ != 0) {
+      const auto [word, mask] = matrix_slot(a, b);
+      words_[word] &= ~mask;
+      return;
+    }
+    const std::uint64_t key = edge_key(a, b);
+    std::size_t i = probe(key);
+    if (words_[i] == key) words_[i] = kTombstone;
+  }
 
-  /// Releases the table (the CSR build that follows no longer needs
+  /// Releases the set (the CSR build that follows no longer needs
   /// membership queries).
   void free_memory() {
-    slots_ = {};
-    size_ = used_ = 0;
+    words_ = {};
+    used_ = 0;
   }
 
  private:
   static constexpr std::uint64_t kEmpty = 0;                        // self-loop (0,0)
   static constexpr std::uint64_t kTombstone = ~std::uint64_t{0};    // self-loop (max,max)
+
+  /// Packs an undirected edge into one normalized key.
+  static std::uint64_t edge_key(PhoneId a, PhoneId b) {
+    if (a > b) std::swap(a, b);
+    return (static_cast<std::uint64_t>(a) << 32) | b;
+  }
+
+  /// Word index and bit mask of edge {a, b} in the matrix layout.
+  [[nodiscard]] std::pair<std::size_t, std::uint64_t> matrix_slot(PhoneId a, PhoneId b) const {
+    if (a > b) std::swap(a, b);
+    const std::uint64_t bit = std::uint64_t{a} * matrix_n_ + b;
+    return {static_cast<std::size_t>(bit >> 6), std::uint64_t{1} << (bit & 63)};
+  }
 
   static std::size_t slots_for(std::size_t expected) {
     std::size_t n = 16;
@@ -83,96 +120,103 @@ class FlatEdgeSet {
   /// Index of `key` if present, else of the slot where it would be
   /// inserted (first tombstone on the probe path, or the empty slot).
   [[nodiscard]] std::size_t probe(std::uint64_t key) const {
-    const std::size_t mask = slots_.size() - 1;
+    const std::size_t mask = words_.size() - 1;
     std::size_t i = static_cast<std::size_t>(mix(key)) & mask;
-    std::size_t first_tombstone = slots_.size();
+    std::size_t first_tombstone = words_.size();
     while (true) {
-      if (slots_[i] == key) return i;
-      if (slots_[i] == kEmpty) {
-        return first_tombstone != slots_.size() ? first_tombstone : i;
+      if (words_[i] == key) return i;
+      if (words_[i] == kEmpty) {
+        return first_tombstone != words_.size() ? first_tombstone : i;
       }
-      if (slots_[i] == kTombstone && first_tombstone == slots_.size()) first_tombstone = i;
+      if (words_[i] == kTombstone && first_tombstone == words_.size()) first_tombstone = i;
       i = (i + 1) & mask;
     }
   }
 
   void rehash(std::size_t new_slots) {
-    std::vector<std::uint64_t> old = std::move(slots_);
-    slots_.assign(std::max<std::size_t>(new_slots, 16), kEmpty);
-    size_ = used_ = 0;
+    std::vector<std::uint64_t> old = std::move(words_);
+    words_.assign(std::max<std::size_t>(new_slots, 16), kEmpty);
+    used_ = 0;
     for (std::uint64_t key : old) {
       if (key == kEmpty || key == kTombstone) continue;
-      std::size_t i = probe(key);
-      slots_[i] = key;
-      ++size_;
+      words_[probe(key)] = key;
       ++used_;
     }
   }
 
-  std::vector<std::uint64_t> slots_;
-  std::size_t size_ = 0;
-  std::size_t used_ = 0;  ///< occupied + tombstoned (governs rehash)
+  /// Bit-matrix words, or hash slots of packed edge keys.
+  std::vector<std::uint64_t> words_;
+  PhoneId matrix_n_ = 0;  ///< node count in matrix layout; 0 = hash table
+  std::size_t used_ = 0;  ///< occupied + tombstoned slots (governs rehash)
 };
 
+/// Builds the CSR from an edge list laid out as (ends[2i], ends[2i+1])
+/// pairs. The list is read by the count and fill passes and then
+/// reused as the transpose target, so the build allocates only the
+/// fill array on top of it.
+ContactGraph build_csr(PhoneId node_count, std::vector<PhoneId> ends) {
+  CsrBuilder builder(node_count);
+  for (std::size_t i = 0; i + 1 < ends.size(); i += 2) builder.count_edge(ends[i], ends[i + 1]);
+  builder.begin_fill();
+  for (std::size_t i = 0; i + 1 < ends.size(); i += 2) builder.fill_edge(ends[i], ends[i + 1]);
+  return std::move(builder).finish(std::move(ends));
+}
+
 /// The power-law generator's working edge set: an insertion-ordered,
-/// orientation-preserving packed edge sequence (8 bytes/edge — the
-/// repair pass reads edge endpoints asymmetrically, so orientation
-/// matters) plus flat membership. Replaces the former
-/// vector<Edge> + unordered_set pair (~48 bytes/edge) and is streamed
-/// straight into CsrBuilder at the end — the O(E) ContactGraph::Edge
-/// vector never exists.
+/// orientation-preserving edge sequence (the repair pass reads edge
+/// endpoints asymmetrically, so orientation matters) plus membership.
+/// The ends are kept as PhoneId pairs so that, once the count and fill
+/// passes have read them, the same buffer becomes CsrBuilder's
+/// transpose target.
 class EdgeStore {
  public:
-  explicit EdgeStore(std::size_t expected) : seen_(expected) { packed_.reserve(expected); }
+  /// `expected` sizes the membership set; `capacity` is the most edges
+  /// the store will ever hold, reserved up front so the buffer is never
+  /// reallocated.
+  EdgeStore(PhoneId node_count, std::size_t expected, std::size_t capacity)
+      : seen_(node_count, expected) {
+    ends_.reserve(2 * capacity);
+  }
 
   bool try_add(PhoneId a, PhoneId b) {
     if (a == b) return false;
-    if (!seen_.insert(edge_key(a, b))) return false;
-    packed_.push_back(pack(a, b));
+    if (!seen_.insert(a, b)) return false;
+    ends_.push_back(a);
+    ends_.push_back(b);
     return true;
   }
 
-  [[nodiscard]] bool contains(PhoneId a, PhoneId b) const {
-    return seen_.contains(edge_key(a, b));
-  }
+  [[nodiscard]] bool contains(PhoneId a, PhoneId b) const { return seen_.contains(a, b); }
 
   void replace(std::size_t index, PhoneId a, PhoneId b) {
-    seen_.erase(edge_key(first(packed_[index]), second(packed_[index])));
-    seen_.insert(edge_key(a, b));
-    packed_[index] = pack(a, b);
+    seen_.erase(ends_[2 * index], ends_[2 * index + 1]);
+    seen_.insert(a, b);
+    ends_[2 * index] = a;
+    ends_[2 * index + 1] = b;
   }
 
   void remove(std::size_t index) {
-    seen_.erase(edge_key(first(packed_[index]), second(packed_[index])));
-    packed_[index] = packed_.back();
-    packed_.pop_back();
+    seen_.erase(ends_[2 * index], ends_[2 * index + 1]);
+    ends_[2 * index] = ends_[ends_.size() - 2];
+    ends_[2 * index + 1] = ends_.back();
+    ends_.resize(ends_.size() - 2);
   }
 
-  [[nodiscard]] std::size_t size() const { return packed_.size(); }
-  [[nodiscard]] bool empty() const { return packed_.empty(); }
-  [[nodiscard]] PhoneId a(std::size_t index) const { return first(packed_[index]); }
-  [[nodiscard]] PhoneId b(std::size_t index) const { return second(packed_[index]); }
+  [[nodiscard]] std::size_t size() const { return ends_.size() / 2; }
+  [[nodiscard]] bool empty() const { return ends_.empty(); }
+  [[nodiscard]] PhoneId a(std::size_t index) const { return ends_[2 * index]; }
+  [[nodiscard]] PhoneId b(std::size_t index) const { return ends_[2 * index + 1]; }
 
   /// Streams the accumulated edges into a ContactGraph; frees the
-  /// membership table before allocating the CSR so the two never
-  /// coexist at full size.
-  [[nodiscard]] ContactGraph build(PhoneId node_count) {
+  /// membership set before the CSR arrays are allocated, and hands the
+  /// spent edge buffer to finish() as its transpose target.
+  [[nodiscard]] ContactGraph build(PhoneId node_count) && {
     seen_.free_memory();
-    CsrBuilder builder(node_count);
-    for (std::uint64_t e : packed_) builder.count_edge(first(e), second(e));
-    builder.begin_fill();
-    for (std::uint64_t e : packed_) builder.fill_edge(first(e), second(e));
-    return std::move(builder).finish();
+    return build_csr(node_count, std::move(ends_));
   }
 
  private:
-  static std::uint64_t pack(PhoneId a, PhoneId b) {
-    return (static_cast<std::uint64_t>(a) << 32) | b;
-  }
-  static PhoneId first(std::uint64_t e) { return static_cast<PhoneId>(e >> 32); }
-  static PhoneId second(std::uint64_t e) { return static_cast<PhoneId>(e & 0xFFFF'FFFFu); }
-
-  std::vector<std::uint64_t> packed_;
+  std::vector<PhoneId> ends_;  ///< edge i is (ends_[2i], ends_[2i+1])
   FlatEdgeSet seen_;
 };
 
@@ -207,6 +251,9 @@ struct DegreeLaw {
     while (clamped_mean(hi, cap) < target && hi < 1e9) hi *= 2.0;
     for (int iter = 0; iter < 100; ++iter) {
       double mid = 0.5 * (lo + hi);
+      // lo and hi are adjacent doubles: f(lo) < target <= f(hi), so
+      // every later iteration would leave them as they are.
+      if (mid == lo || mid == hi) break;
       if (clamped_mean(mid, cap) < target) {
         lo = mid;
       } else {
@@ -308,7 +355,11 @@ ContactGraph generate_power_law(const PowerLawConfig& config, rng::Stream& strea
     for (std::size_t i = 0; i < keyed.size(); ++i) stubs[i] = keyed[i].second;
   }
 
-  EdgeStore acc(stubs.size() / 2);
+  const auto target_edges = static_cast<std::size_t>(
+      std::llround(config.target_mean_degree * static_cast<double>(n) / 2.0));
+  // Pairing adds at most stubs/2 edges and the top-up below stops at
+  // target_edges, so this capacity is never outgrown.
+  EdgeStore acc(n, stubs.size() / 2, std::max(stubs.size() / 2, target_edges));
   std::vector<PhoneId> leftovers;  // stubs whose pairing collided
   for (std::size_t i = 0; i + 1 < stubs.size(); i += 2) {
     if (!acc.try_add(stubs[i], stubs[i + 1])) {
@@ -349,8 +400,6 @@ ContactGraph generate_power_law(const PowerLawConfig& config, rng::Stream& strea
   // or trim — until the realized mean degree matches the target. The
   // correction is a small fraction of the edge set, so the power-law
   // shape is untouched.
-  const auto target_edges = static_cast<std::size_t>(
-      std::llround(config.target_mean_degree * static_cast<double>(n) / 2.0));
   std::uint64_t attempts = 0;
   const std::uint64_t max_attempts = 200ULL * (target_edges + 16);
   while (acc.size() < target_edges && attempts++ < max_attempts) {
@@ -362,7 +411,7 @@ ContactGraph generate_power_law(const PowerLawConfig& config, rng::Stream& strea
     acc.remove(static_cast<std::size_t>(stream.uniform_index(acc.size())));
   }
 
-  return acc.build(n);
+  return std::move(acc).build(n);
 }
 
 ContactGraph generate_erdos_renyi(PhoneId node_count, double target_mean_degree,
@@ -428,12 +477,12 @@ ContactGraph generate_barabasi_albert(PhoneId node_count, std::uint32_t edges_pe
   // IS degree-proportional sampling. Consecutive pairs of the list are
   // exactly the accepted edges in insertion order, so it doubles as the
   // edge sequence for the CSR build and no separate edge vector exists.
-  FlatEdgeSet seen(static_cast<std::size_t>(node_count) * m);
+  FlatEdgeSet seen(node_count, static_cast<std::size_t>(node_count) * m);
   std::vector<PhoneId> endpoints;
   endpoints.reserve(2ULL * node_count * m);
   auto try_add = [&](PhoneId a, PhoneId b) {
     if (a == b) return false;
-    if (!seen.insert(edge_key(a, b))) return false;
+    if (!seen.insert(a, b)) return false;
     endpoints.push_back(a);
     endpoints.push_back(b);
     return true;
@@ -452,15 +501,7 @@ ContactGraph generate_barabasi_albert(PhoneId node_count, std::uint32_t edges_pe
     }
   }
   seen.free_memory();
-  CsrBuilder builder(node_count);
-  for (std::size_t i = 0; i + 1 < endpoints.size(); i += 2) {
-    builder.count_edge(endpoints[i], endpoints[i + 1]);
-  }
-  builder.begin_fill();
-  for (std::size_t i = 0; i + 1 < endpoints.size(); i += 2) {
-    builder.fill_edge(endpoints[i], endpoints[i + 1]);
-  }
-  return std::move(builder).finish();
+  return build_csr(node_count, std::move(endpoints));
 }
 
 ContactGraph generate_regular_ring(PhoneId node_count, std::uint32_t k) {

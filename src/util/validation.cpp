@@ -8,8 +8,8 @@ void ValidationErrors::add(std::string message) {
   problems_.push_back(context_ + ": " + std::move(message));
 }
 
-bool ValidationErrors::require(bool ok_flag, std::string message) {
-  if (!ok_flag) add(std::move(message));
+bool ValidationErrors::require(bool ok_flag, const char* message) {
+  if (!ok_flag) add(message);
   return ok_flag;
 }
 

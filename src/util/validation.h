@@ -18,7 +18,8 @@ class ValidationErrors {
 
   void add(std::string message);
   /// `require(ok, msg)` records `msg` when `ok` is false; returns `ok`.
-  bool require(bool ok, std::string message);
+  /// The message is a C string so a passing check allocates nothing.
+  bool require(bool ok, const char* message);
 
   /// Merge problems found by a sub-config's validate().
   void merge(const ValidationErrors& sub);

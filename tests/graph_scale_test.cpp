@@ -5,8 +5,10 @@
 // and GraphCache reuse/rebuild/stream-restore semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -59,6 +61,12 @@ std::vector<ContactGraph::Edge> extract_edges(const ContactGraph& g) {
 // streaming refactor. These pin BOTH the graph content and the RNG
 // draw count: a generator change that alters either breaks the golden
 // curves, and this test localizes the break to the generator.
+//
+// The generators' edge membership set picks its layout from the input
+// size, so these pins cover both: PowerLawDefault (n=1000, mean 80)
+// runs on the n×n bit matrix, while PowerLawJitter (n=2500, mean 12)
+// and BarabasiAlbert (n=2000, m=4) run on the hash table, whose
+// expected size is smaller than their matrix would be.
 
 TEST(GeneratorFingerprint, PowerLawDefaultMatchesPreRefactor) {
   PowerLawConfig plc;  // paper defaults: n=1000, mean 80, alpha 2
@@ -139,6 +147,74 @@ TEST(StreamedCsr, BuilderRejectsDuplicateEdges) {
   builder.fill_edge(0, 1);
   builder.fill_edge(1, 0);
   EXPECT_THROW(std::move(builder).finish(), std::invalid_argument);
+}
+
+ContactGraph build_from(PhoneId n, const std::vector<ContactGraph::Edge>& edges) {
+  CsrBuilder builder(n);
+  for (const auto& e : edges) builder.count_edge(e.a, e.b);
+  builder.begin_fill();
+  for (const auto& e : edges) builder.fill_edge(e.a, e.b);
+  return std::move(builder).finish();
+}
+
+// finish() sorts the contact lists by transposing the filled lists, not
+// by a comparison sort, so the result must not depend on the order or
+// orientation in which the edges arrive.
+TEST(StreamedCsr, BuilderOutputIndependentOfEdgeOrder) {
+  PowerLawConfig plc;
+  plc.node_count = 400;
+  plc.target_mean_degree = 30.0;
+  rng::Stream s(2024);
+  const ContactGraph reference = generate_power_law(plc, s);
+  std::vector<ContactGraph::Edge> edges = extract_edges(reference);  // sorted (a < b)
+
+  std::vector<ContactGraph::Edge> reversed(edges.rbegin(), edges.rend());
+  std::vector<ContactGraph::Edge> shuffled = edges;
+  rng::Stream order(77);
+  order.shuffle(std::span<ContactGraph::Edge>(shuffled));
+  for (std::size_t i = 0; i < shuffled.size(); i += 2) {
+    std::swap(shuffled[i].a, shuffled[i].b);  // mixed orientation
+  }
+
+  for (const auto* list : {&edges, &reversed, &shuffled}) {
+    const ContactGraph g = build_from(reference.node_count(), *list);
+    EXPECT_EQ(graph_fingerprint(g), graph_fingerprint(reference));
+    for (PhoneId p = 0; p < g.node_count(); ++p) {
+      auto contacts = g.contacts(p);
+      EXPECT_TRUE(std::adjacent_find(contacts.begin(), contacts.end(),
+                                     [](PhoneId x, PhoneId y) { return x >= y; }) ==
+                  contacts.end())
+          << "contact list of phone " << p << " is not strictly ascending";
+    }
+  }
+}
+
+TEST(StreamedCsr, BuilderRejectsDuplicateEdgeArrivingFarApart) {
+  rng::Stream s(31);
+  const ContactGraph reference = generate_erdos_renyi(200, 10.0, s);
+  std::vector<ContactGraph::Edge> edges = extract_edges(reference);
+  ASSERT_GT(edges.size(), 100u);
+  // The copy arrives last and reversed; its twin was among the first.
+  edges.push_back({edges[3].b, edges[3].a});
+  EXPECT_THROW((void)build_from(reference.node_count(), edges), std::invalid_argument);
+}
+
+// A spent buffer with more capacity than the adjacency needs must not
+// leave that spare room in the graph.
+TEST(StreamedCsr, FinishLeavesNoSpareCapacity) {
+  const std::vector<ContactGraph::Edge> edges = {{0, 1}, {1, 2}, {2, 3}, {3, 0}};
+  for (std::size_t spare : {0u, 8u, 1000u}) {
+    CsrBuilder builder(4);
+    for (const auto& e : edges) builder.count_edge(e.a, e.b);
+    builder.begin_fill();
+    for (const auto& e : edges) builder.fill_edge(e.a, e.b);
+    std::vector<PhoneId> spent;
+    spent.reserve(2 * edges.size() + spare);
+    spent.assign(2 * edges.size(), kInvalidPhoneId);
+    const ContactGraph g = std::move(builder).finish(std::move(spent));
+    EXPECT_EQ(g.memory_bytes(), (5 + 2 * edges.size()) * sizeof(std::uint32_t));
+    EXPECT_EQ(graph_fingerprint(g), graph_fingerprint(ContactGraph(4, edges)));
+  }
 }
 
 TEST(StreamedCsr, EmptyBuilderYieldsEmptyGraph) {
